@@ -6,6 +6,8 @@ the bound coefficients C(n, r) that replace the classical (n+1)!, and
 search degree grids for violations of either bound.
 """
 
+__version__ = "0.1.0"
+
 from .exactmath import (
     CrossCheckError,
     binomial,
@@ -58,8 +60,6 @@ from .conjecture import (
     trace_ratio,
     verify,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CrossCheckError",

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence, Union
 
+from . import __version__
 from .bounds import (
     composition_factorial_sum,
     dominance_inequality_checks,
@@ -36,6 +37,7 @@ from .bounds import (
 from .conjecture import (
     curve_identity,
     hypersurface_identity,
+    judge,
     min_product_inequality,
     degree_grid,
     search,
@@ -54,7 +56,6 @@ from .invariants import (
     geometric_genus,
 )
 
-VERSION = "0.1.0"
 DOMINANCE_ORDER_ENV = "DURFEE_DOMINANCE_ORDER"
 
 Cell = Union[int, str]
@@ -71,7 +72,7 @@ class ReportDocument:
     notes: list[str] = field(default_factory=list)
 
     def meta_lines(self) -> list[str]:
-        lines = [f"# command: {self.command}", f"# version: {VERSION}"]
+        lines = [f"# command: {self.command}", f"# version: {__version__}"]
         lines += [f"# {key}: {value}" for key, value in self.params.items()]
         return lines
 
@@ -200,7 +201,7 @@ def _spec_from_args(args) -> tuple[DegreeSpec, list[str]]:
     return spec, notes
 
 
-def _verdict_row(verdict, chi: int) -> dict[str, Cell]:
+def _verdict_row(verdict) -> dict[str, Cell]:
     spec = verdict.spec
     return {
         "n": spec.n,
@@ -208,7 +209,7 @@ def _verdict_row(verdict, chi: int) -> dict[str, Cell]:
         "degrees": _degrees_cell(spec.degrees),
         "mu": verdict.mu,
         "pg": verdict.pg,
-        "chi": chi,
+        "chi": (-1) ** spec.n * verdict.mu + 1,
         "strong_verdict": verdict.strong_classification,
         "new_verdict": verdict.classification,
         "bound_value": _rat(verdict.bound_value),
@@ -218,12 +219,11 @@ def _verdict_row(verdict, chi: int) -> dict[str, Cell]:
 def cmd_invariants(args) -> int:
     spec, notes = _spec_from_args(args)
     report = invariant_report(spec)
-    verdict = verify(spec)
     doc = ReportDocument(
         command="invariants",
         params={"n": str(spec.n), "degrees": _degrees_cell(spec.degrees)},
         columns=INVARIANT_COLUMNS,
-        rows=[_verdict_row(verdict, report.chi)],
+        rows=[_verdict_row(judge(spec, report.mu, report.pg))],
     )
     doc.notes.extend(notes)
     doc.notes.append(SMOOTHNESS_NOTE)
@@ -240,12 +240,11 @@ def cmd_invariants(args) -> int:
 def cmd_verify(args) -> int:
     spec, notes = _spec_from_args(args)
     verdict = verify(spec)
-    chi = (-1) ** spec.n * verdict.mu + 1
     doc = ReportDocument(
         command="verify",
         params={"n": str(spec.n), "degrees": _degrees_cell(spec.degrees)},
         columns=INVARIANT_COLUMNS,
-        rows=[_verdict_row(verdict, chi)],
+        rows=[_verdict_row(verdict)],
     )
     doc.notes.extend(notes)
     doc.notes.append(SMOOTHNESS_NOTE)

@@ -3,8 +3,9 @@
 The classical strong bound mu >= (n+1)! p_g holds for hypersurface cones
 but fails once the codimension grows; the replacement has coefficient
 C(n, r) from the bounds module, strict for surfaces with r >= 2 where the
-asymptotically sharp coefficient drops from 6 to below 36/7.  verify()
-evaluates one degree spec against both bounds with exact arithmetic only,
+asymptotically sharp coefficient drops from 6 to below 36/7.  judge()
+evaluates agreed values of mu and p_g against both bounds with exact
+arithmetic only, verify() cross-checks those values first and judges them,
 search() walks a degree grid and reports violations deterministically, and
 the identity checks pin the exact linear relations between mu, p_g and the
 degree product in low dimension or codimension that the verdicts rest on.
@@ -20,8 +21,8 @@ from math import factorial
 from typing import Iterator, Optional, Sequence
 
 from .bounds import balanced_min_product, bound_coefficient, min_product_bound
-from .exactmath import CrossCheckError, falling_factorial
-from .invariants import DegreeSpec, geometric_genus, milnor_number
+from .exactmath import falling_factorial
+from .invariants import DegreeSpec, agreed_value, geometric_genus, milnor_number
 
 STRONG_HOLDS = "strong-durfee-holds"
 STRONG_VIOLATED = "strong-durfee-violated"
@@ -32,8 +33,9 @@ IDENTITY_FAILED = "identity-failed"
 
 SEARCH_MODES = ("equal_degrees", "full_grid")
 
-DEFAULT_MU_METHODS = ("closed_sum", "series")
-DEFAULT_PG_METHODS = ("compositions", "inclusion_exclusion")
+# The routes verify() cross-checks; each pair is mathematically distinct.
+VERIFY_MU_METHODS = ("closed_sum", "series")
+VERIFY_PG_METHODS = ("compositions", "inclusion_exclusion")
 
 
 def _compare(mu: int, bound: Fraction) -> str:
@@ -105,28 +107,24 @@ class TracePoint:
     included: bool
 
 
-def _agreed_value(spec: DegreeSpec, methods: Sequence[str], compute, label: str) -> int:
-    values = {m: compute(spec, m) for m in methods}
-    if len(set(values.values())) != 1:
-        raise CrossCheckError(f"{label} methods disagree for {spec}: {values}")
-    return values[methods[0]]
-
-
-def verify(
-    spec: DegreeSpec,
-    mu_methods: Sequence[str] = DEFAULT_MU_METHODS,
-    pg_methods: Sequence[str] = DEFAULT_PG_METHODS,
-) -> VerdictReport:
+def verify(spec: DegreeSpec) -> VerdictReport:
     """Evaluate one spec against the applicable bound, cross-checked.
 
-    mu and p_g are each computed by at least two routes and must agree.
+    mu and p_g are each computed by the two routes in VERIFY_MU_METHODS and
+    VERIFY_PG_METHODS, which must agree, and then judged.
+    """
+    spec = spec.reduced()
+    mu, _ = agreed_value(spec, VERIFY_MU_METHODS, milnor_number, "milnor")
+    pg, _ = agreed_value(spec, VERIFY_PG_METHODS, geometric_genus, "genus")
+    return judge(spec, mu, pg)
+
+
+def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
+    """The verdict for one spec, given its already cross-checked mu and p_g.
+
     The verdict is taken on the reduced spec (degree-1 entries dropped).
     """
-    if len(mu_methods) < 2 or len(pg_methods) < 2:
-        raise ValueError("verify needs at least two methods per invariant")
     spec = spec.reduced()
-    mu = _agreed_value(spec, mu_methods, milnor_number, "milnor")
-    pg = _agreed_value(spec, pg_methods, geometric_genus, "genus")
     n, r = spec.n, spec.r
 
     strong_value = Fraction(factorial(n + 1) * pg)

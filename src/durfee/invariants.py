@@ -11,11 +11,11 @@ genuinely different exact computations:
     the Milnor fiber;
   * the geometric genus from a composition sum of binomials, from an
     inclusion-exclusion count of lattice points, from a z-series
-    coefficient of prod_i (1 - z^(p_i)) / (1-z)^(N+1), or from a reduced
-    composition sum whose divisions are exact.
+    coefficient of prod_i (1 - z^(p_i)) / (1-z)^(N+1).
 
 Each route is implemented independently so any one can certify another;
-disagreement raises CrossCheckError rather than returning anything.
+agreed_value() runs a set of routes and raises CrossCheckError on any
+disagreement rather than returning anything.
 
 A degree equal to 1 is a hyperplane and does not change the germ, only the
 ambient dimension; every formula here is invariant under dropping such
@@ -28,12 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from typing import Callable, Sequence
 
+from .bounds import power_composition_sum
 from .exactmath import CrossCheckError, binomial, compositions
 from .series import poly
 
 MILNOR_METHODS = ("closed_sum", "series", "equal_degree")
-GENUS_METHODS = ("compositions", "inclusion_exclusion", "series_coeff", "reduced_sum")
+GENUS_METHODS = ("compositions", "inclusion_exclusion", "series_coeff")
 
 SMOOTHNESS_NOTE = (
     "values assume a smooth generic complete intersection of the given degrees"
@@ -53,12 +55,12 @@ class DegreeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError("dimension n must be an integer >= 1")
         if not self.degrees:
             raise ValueError("at least one degree is required")
         for p in self.degrees:
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError("degrees must be integers >= 1")
 
     @property
@@ -79,37 +81,24 @@ class DegreeSpec:
 
     def reduced(self) -> "DegreeSpec":
         """Drop degree-1 entries (hyperplanes); same germ, smaller codimension."""
+        if 1 not in self.degrees:
+            return self
         kept = tuple(p for p in self.degrees if p >= 2)
         if not kept:
             raise SmoothGermError(
                 "all degrees equal 1: smooth germ, invariants are not computed"
             )
-        if len(kept) == len(self.degrees):
-            return self
         return DegreeSpec(self.n, kept)
 
     def sorted(self) -> "DegreeSpec":
         return DegreeSpec(self.n, tuple(sorted(self.degrees)))
 
 
-def _require_singular(spec: DegreeSpec) -> None:
-    if all(p == 1 for p in spec.degrees):
-        raise SmoothGermError(
-            "all degrees equal 1: smooth germ, invariants are not computed"
-        )
-
-
-def _power_sum(m: int, degrees: tuple[int, ...]) -> int:
-    # sum over weak compositions (k_i) of m of prod (p_i - 1)^(k_i)
-    return sum(
-        prod((p - 1) ** k for p, k in zip(degrees, comp))
-        for comp in compositions(m, len(degrees))
-    )
-
-
 def _milnor_closed_sum(spec: DegreeSpec) -> int:
     n = spec.n
-    alternating = sum((-1) ** j * _power_sum(n - j, spec.degrees) for j in range(n + 1))
+    alternating = sum(
+        (-1) ** j * power_composition_sum(n - j, spec.degrees) for j in range(n + 1)
+    )
     return spec.degree_product * alternating - (-1) ** n
 
 
@@ -132,7 +121,6 @@ def _milnor_series(spec: DegreeSpec) -> int:
 
 
 def _milnor_equal_degree(spec: DegreeSpec) -> int:
-    spec = spec.reduced()
     if len(set(spec.degrees)) != 1:
         raise ValueError("equal_degree method requires all degrees equal")
     p, r, n = spec.degrees[0], spec.r, spec.n
@@ -143,7 +131,7 @@ def _milnor_equal_degree(spec: DegreeSpec) -> int:
 
 def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
     """Milnor number of the cone singularity, by the chosen route."""
-    _require_singular(spec)
+    spec = spec.reduced()
     if method == "closed_sum":
         return _milnor_closed_sum(spec)
     if method == "series":
@@ -155,8 +143,7 @@ def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
 
 def milnor_fiber_euler(spec: DegreeSpec) -> int:
     """Euler characteristic of the Milnor fiber; equals (-1)^n mu + 1."""
-    _require_singular(spec)
-    return _chi_series(spec)
+    return _chi_series(spec.reduced())
 
 
 def _genus_compositions(spec: DegreeSpec) -> int:
@@ -194,30 +181,15 @@ def _genus_series(spec: DegreeSpec) -> int:
     return c.numerator
 
 
-def _genus_reduced_sum(spec: DegreeSpec) -> int:
-    total = Fraction(0)
-    for comp in compositions(spec.n, spec.r):
-        term = Fraction(1)
-        for p, k in zip(spec.degrees, comp):
-            term *= Fraction(binomial(p - 1, k), k + 1)
-        total += term
-    value = spec.degree_product * total
-    if value.denominator != 1:
-        raise CrossCheckError(f"reduced genus sum for {spec} is not an integer: {value}")
-    return value.numerator
-
-
 def geometric_genus(spec: DegreeSpec, method: str = "compositions") -> int:
     """Geometric genus of the cone singularity (delta invariant when n = 1)."""
-    _require_singular(spec)
+    spec = spec.reduced()
     if method == "compositions":
         return _genus_compositions(spec)
     if method == "inclusion_exclusion":
         return _genus_inclusion_exclusion(spec)
     if method == "series_coeff":
         return _genus_series(spec)
-    if method == "reduced_sum":
-        return _genus_reduced_sum(spec)
     raise ValueError(f"unknown genus method {method!r}; choose from {GENUS_METHODS}")
 
 
@@ -257,27 +229,37 @@ class InvariantReport:
     pg_by_method: dict[str, int]
 
 
+def agreed_value(
+    spec: DegreeSpec,
+    methods: Sequence[str],
+    compute: Callable[[DegreeSpec, str], int],
+    label: str,
+) -> tuple[int, dict[str, int]]:
+    """The value every route in methods gives for spec, and each route's value.
+
+    Raises CrossCheckError, naming the spec and every value, unless they agree.
+    """
+    values = {m: compute(spec, m) for m in methods}
+    if len(set(values.values())) != 1:
+        raise CrossCheckError(f"{label} methods disagree for {spec}: {values}")
+    return values[methods[0]], values
+
+
 def invariant_report(spec: DegreeSpec) -> InvariantReport:
-    """Compute mu and p_g by every applicable method and enforce agreement."""
-    _require_singular(spec)
-    mu_methods = ["closed_sum", "series"]
-    if len(set(spec.reduced().degrees)) == 1:
-        mu_methods.append("equal_degree")
-    mu_values = {m: milnor_number(spec, m) for m in mu_methods}
-    pg_values = {m: geometric_genus(spec, m) for m in GENUS_METHODS}
-    if len(set(mu_values.values())) != 1:
-        raise CrossCheckError(f"milnor methods disagree for {spec}: {mu_values}")
-    if len(set(pg_values.values())) != 1:
-        raise CrossCheckError(f"genus methods disagree for {spec}: {pg_values}")
-    mu = mu_values["closed_sum"]
-    chi = milnor_fiber_euler(spec)
-    if chi != (-1) ** spec.n * mu + 1:
-        raise CrossCheckError(f"euler characteristic inconsistent for {spec}")
+    """Compute mu and p_g by every applicable method and enforce agreement.
+
+    chi is (-1)^n mu + 1, which the series route to mu already rests on.
+    """
+    mu_methods = MILNOR_METHODS
+    if len(set(spec.reduced().degrees)) != 1:
+        mu_methods = ("closed_sum", "series")
+    mu, mu_values = agreed_value(spec, mu_methods, milnor_number, "milnor")
+    pg, pg_values = agreed_value(spec, GENUS_METHODS, geometric_genus, "genus")
     return InvariantReport(
         spec=spec,
         mu=mu,
-        pg=pg_values["compositions"],
-        chi=chi,
+        pg=pg,
+        chi=(-1) ** spec.n * mu + 1,
         mu_by_method=mu_values,
         pg_by_method=pg_values,
     )

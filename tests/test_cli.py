@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import durfee
 from durfee.cli import (
     DOMINANCE_ORDER_ENV,
     ReportDocument,
@@ -68,6 +69,9 @@ class TestRendering:
         assert lines[-4].startswith("a")
         assert lines[-3].split() == ["1", "x/y"]
         assert lines[-1] == "# note: first note"
+
+    def test_version_header_is_the_package_version(self):
+        assert f"# version: {durfee.__version__}" in render_table(SAMPLE).splitlines()
 
     def test_csv(self):
         text = render_csv(SAMPLE)
@@ -153,6 +157,31 @@ class TestInvariantsCommand:
     def test_smoothness_note_present(self, capsys):
         _, out, _ = run_cli(capsys, "invariants", "--n", "2", "--degrees", "3")
         assert "smooth generic complete intersection" in out
+
+    @pytest.mark.parametrize(
+        "n, degrees",
+        [(1, "3"), (1, "4,4"), (2, "3,3"), (2, "5,2,3"), (2, "1,3,1"), (3, "2,4"), (3, "4,1,2,2")],
+    )
+    def test_same_row_as_verify(self, capsys, n, degrees):
+        rows = {}
+        for command in ("invariants", "verify"):
+            code, out, _ = run_cli(
+                capsys, command, "--n", str(n), "--degrees", degrees, "--format", "csv"
+            )
+            assert code == 0
+            rows[command] = out
+        assert rows["invariants"] == rows["verify"]
+
+    def test_does_not_call_verify(self, capsys, monkeypatch):
+        import durfee.cli as cli
+
+        def boom(spec):
+            raise AssertionError("invariants must not run verify")
+
+        monkeypatch.setattr(cli, "verify", boom)
+        code, out, _ = run_cli(capsys, "invariants", "--n", "2", "--degrees", "3,3")
+        assert code == 0
+        assert "new-conjecture-holds" in out
 
 
 class TestVerifyCommand:

@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from durfee import (
+    GENUS_METHODS,
+    MILNOR_METHODS,
     CrossCheckError,
     DegreeSpec,
     curve_identity,
@@ -22,6 +24,8 @@ from durfee.conjecture import (
     IDENTITY_VERIFIED,
     STRONG_HOLDS,
     STRONG_VIOLATED,
+    VERIFY_MU_METHODS,
+    VERIFY_PG_METHODS,
     _compare,
 )
 
@@ -83,10 +87,14 @@ class TestVerify:
         assert v.bound_coefficient == 6
 
     def test_needs_two_methods(self):
-        with pytest.raises(ValueError):
-            verify(DegreeSpec(2, (3,)), mu_methods=("closed_sum",))
-        with pytest.raises(ValueError):
-            verify(DegreeSpec(2, (3,)), pg_methods=("compositions",))
+        for methods, known in (
+            (VERIFY_MU_METHODS, MILNOR_METHODS),
+            (VERIFY_PG_METHODS, GENUS_METHODS),
+            (MILNOR_METHODS, MILNOR_METHODS),
+            (GENUS_METHODS, GENUS_METHODS),
+        ):
+            assert len(set(methods)) >= 2
+            assert set(methods) <= set(known)
 
     def test_method_disagreement_raises(self, monkeypatch):
         import durfee.conjecture as conj

@@ -46,6 +46,10 @@ class TestDegreeSpec:
             DegreeSpec(2, (2, 0))
         with pytest.raises(ValueError):
             DegreeSpec("2", (2,))  # type: ignore[arg-type]
+        with pytest.raises(ValueError):
+            DegreeSpec(True, (2,))
+        with pytest.raises(ValueError):
+            DegreeSpec(2, (True, 3))
 
     def test_reduced_drops_hyperplanes(self):
         spec = DegreeSpec(2, (1, 3, 1))
@@ -214,6 +218,6 @@ class TestInvariantReport:
     def test_disagreement_raises(self, monkeypatch):
         import durfee.invariants as inv
 
-        monkeypatch.setattr(inv, "_genus_reduced_sum", lambda spec: -1)
+        monkeypatch.setattr(inv, "_genus_series", lambda spec: -1)
         with pytest.raises(CrossCheckError):
             invariant_report(DegreeSpec(2, (3, 3)))
