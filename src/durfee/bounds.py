@@ -149,16 +149,19 @@ def stirling_growth_inequality(n: int, r: int) -> bool:
     return lhs >= rhs
 
 
-def dominance_inequality_checks(order: int = 64, nr_max: int = 8) -> bool:
+DOMINANCE_ORDER = 64
+DOMINANCE_NR_MAX = 8
+
+
+def dominance_inequality_checks() -> bool:
     """Certify the generating-function dominances and the Stirling growth.
 
-    Checks coefficientwise, through the given truncation order, that
-    e^x - 1 dominates x e^(x/2) and that (e^x - 1)^2 dominates x^2 e^x,
-    then re-derives the Stirling growth inequality for all n, r <= nr_max
-    by direct evaluation.
+    Checks coefficientwise, through DOMINANCE_ORDER, that e^x - 1 dominates
+    x e^(x/2) and that (e^x - 1)^2 dominates x^2 e^x, then re-derives the
+    Stirling growth inequality for all n, r <= DOMINANCE_NR_MAX by direct
+    evaluation.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order, nr_max = DOMINANCE_ORDER, DOMINANCE_NR_MAX
     e1 = exp_series(1, order) - one(order)
     half = poly([0, 1], order) * exp_series(Fraction(1, 2), order)
     if not e1.dominates(half):

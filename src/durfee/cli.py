@@ -14,15 +14,15 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from . import __version__
 from .bounds import (
+    DOMINANCE_ORDER,
     composition_factorial_sum,
     dominance_inequality_checks,
     bound_coefficient,
@@ -56,20 +56,22 @@ from .invariants import (
     geometric_genus,
 )
 
-DOMINANCE_ORDER_ENV = "DURFEE_DOMINANCE_ORDER"
-
-Cell = Union[int, str]
+Cell = Union[int, Fraction, str]
 
 
 @dataclass
 class ReportDocument:
-    """One renderable report: echoed inputs, fixed columns, exact-value rows."""
+    """One renderable report: echoed inputs, fixed columns, exact-value rows.
+
+    Cells stay exact and a note quoting a result is a callable, so that
+    both become text inside emit(), past the int-to-str digit limit.
+    """
 
     command: str
     params: dict[str, str]
     columns: tuple[str, ...]
     rows: list[dict[str, Cell]]
-    notes: list[str] = field(default_factory=list)
+    notes: list[Union[str, Callable[[], str]]] = field(default_factory=list)
 
     def meta_lines(self) -> list[str]:
         lines = [f"# command: {self.command}", f"# version: {__version__}"]
@@ -77,11 +79,7 @@ class ReportDocument:
         return lines
 
     def note_lines(self) -> list[str]:
-        return [f"# note: {note}" for note in self.notes]
-
-
-def _rat(x: Union[int, Fraction]) -> str:
-    return str(Fraction(x))
+        return [f"# note: {note() if callable(note) else note}" for note in self.notes]
 
 
 def _approx(x: Union[int, Fraction]) -> str:
@@ -122,26 +120,39 @@ def render_csv(doc: ReportDocument) -> str:
 
 def render_json_lines(doc: ReportDocument) -> str:
     lines = [
-        json.dumps({c: row[c] for c in doc.columns}, separators=(",", ":"))
+        json.dumps({c: row[c] for c in doc.columns}, separators=(",", ":"), default=str)
         for row in doc.rows
     ]
     return "".join(line + "\n" for line in lines)
 
 
 def emit(doc: ReportDocument, fmt: str, out=None, err=None) -> None:
+    """Render doc: rows to out, and metadata and notes to err unless table.
+
+    The int-to-str digit limit is lifted only while rendering, so input
+    parsing keeps it.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    if fmt == "table":
-        out.write(render_table(doc))
-        return
-    if fmt == "csv":
-        out.write(render_csv(doc))
-    elif fmt == "json-lines":
-        out.write(render_json_lines(doc))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    for line in doc.meta_lines() + doc.note_lines():
-        err.write(line + "\n")
+    lift = hasattr(sys, "set_int_max_str_digits")  # absent before 3.10.7
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "table":
+            out.write(render_table(doc))
+            return
+        if fmt == "csv":
+            out.write(render_csv(doc))
+        elif fmt == "json-lines":
+            out.write(render_json_lines(doc))
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
+        for line in doc.meta_lines() + doc.note_lines():
+            err.write(line + "\n")
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
@@ -212,27 +223,27 @@ def _verdict_row(verdict) -> dict[str, Cell]:
         "chi": (-1) ** spec.n * verdict.mu + 1,
         "strong_verdict": verdict.strong_classification,
         "new_verdict": verdict.classification,
-        "bound_value": _rat(verdict.bound_value),
+        "bound_value": verdict.bound_value,
     }
+
+
+def _verdict_document(command, spec, echo_notes, verdict) -> ReportDocument:
+    """The one-row report invariants and verify share; they append own notes."""
+    return ReportDocument(
+        command=command,
+        params={"n": str(spec.n), "degrees": _degrees_cell(spec.degrees)},
+        columns=INVARIANT_COLUMNS,
+        rows=[_verdict_row(verdict)],
+        notes=[*echo_notes, SMOOTHNESS_NOTE],
+    )
 
 
 def cmd_invariants(args) -> int:
     spec, notes = _spec_from_args(args)
     report = invariant_report(spec)
-    doc = ReportDocument(
-        command="invariants",
-        params={"n": str(spec.n), "degrees": _degrees_cell(spec.degrees)},
-        columns=INVARIANT_COLUMNS,
-        rows=[_verdict_row(judge(spec, report.mu, report.pg))],
-    )
-    doc.notes.extend(notes)
-    doc.notes.append(SMOOTHNESS_NOTE)
-    doc.notes.append(
-        "mu agrees across " + ", ".join(sorted(report.mu_by_method))
-    )
-    doc.notes.append(
-        "pg agrees across " + ", ".join(sorted(report.pg_by_method))
-    )
+    doc = _verdict_document("invariants", spec, notes, judge(spec, report.mu, report.pg))
+    doc.notes.append("mu agrees across " + ", ".join(sorted(report.mu_by_method)))
+    doc.notes.append("pg agrees across " + ", ".join(sorted(report.pg_by_method)))
     emit(doc, args.format)
     return 0
 
@@ -240,31 +251,24 @@ def cmd_invariants(args) -> int:
 def cmd_verify(args) -> int:
     spec, notes = _spec_from_args(args)
     verdict = verify(spec)
-    doc = ReportDocument(
-        command="verify",
-        params={"n": str(spec.n), "degrees": _degrees_cell(spec.degrees)},
-        columns=INVARIANT_COLUMNS,
-        rows=[_verdict_row(verdict)],
-    )
-    doc.notes.extend(notes)
-    doc.notes.append(SMOOTHNESS_NOTE)
+    doc = _verdict_document("verify", spec, notes, verdict)
+    strict = " (strict bound)" if verdict.strict else ""
     doc.notes.append(
         f"{verdict.bound_name}: mu {verdict.comparison} "
-        f"{_rat(verdict.bound_coefficient)} * pg"
-        + (" (strict bound)" if verdict.strict else "")
+        f"{verdict.bound_coefficient} * pg{strict}"
     )
     doc.notes.append(
-        f"strong coefficient {factorial(spec.n + 1)}: mu {verdict.strong_comparison} "
-        f"{_rat(verdict.strong_value)}"
+        lambda: f"strong coefficient {factorial(spec.n + 1)}: "
+        f"mu {verdict.strong_comparison} {verdict.strong_value}"
     )
     doc.notes.append(
-        f"limit coefficient {_rat(verdict.coefficient_ratio)}: "
-        f"mu {verdict.coefficient_comparison} {_rat(verdict.coefficient_ratio * verdict.pg)}"
+        lambda: f"limit coefficient {verdict.coefficient_ratio}: mu "
+        f"{verdict.coefficient_comparison} {verdict.coefficient_ratio * verdict.pg}"
     )
     if spec.n == 2:
         e = surface_excess(spec)
         sign = "zero" if e == 0 else ("positive" if e > 0 else "negative")
-        doc.notes.append(f"surface excess E = {_rat(e)} ({sign})")
+        doc.notes.append(lambda: f"surface excess E = {e} ({sign})")
     emit(doc, args.format)
     return 0
 
@@ -280,7 +284,7 @@ def cmd_bounds(args) -> int:
                 {
                     "n": coeff.n,
                     "r": coeff.r,
-                    "coefficient": _rat(coeff.value),
+                    "coefficient": coeff.value,
                     "approx_coefficient": _approx(coeff.value),
                     "floor": 2**coeff.n,
                     "at_floor": _flag(coeff.value == 2**coeff.n),
@@ -322,9 +326,9 @@ def cmd_search(args) -> int:
                 "mu": v.mu,
                 "pg": v.pg,
                 "violates": "+".join(violation.kinds),
-                "strong_bound": _rat(v.strong_value),
-                "conjecture_bound": _rat(v.bound_value),
-                "coefficient_bound": _rat(v.coefficient_ratio * v.pg),
+                "strong_bound": v.strong_value,
+                "conjecture_bound": v.bound_value,
+                "coefficient_bound": v.coefficient_ratio * v.pg,
             }
         )
     doc = ReportDocument(
@@ -352,7 +356,7 @@ def cmd_search(args) -> int:
     if result.minimal is not None:
         m = result.minimal.verdict
         doc.notes.append(
-            f"minimal violation: degrees {_degrees_cell(m.spec.degrees)} "
+            lambda: f"minimal violation: degrees {_degrees_cell(m.spec.degrees)} "
             f"(mu {m.mu}, pg {m.pg})"
         )
     else:
@@ -370,9 +374,9 @@ def cmd_trace(args) -> int:
                 "p": pt.p,
                 "mu": pt.mu,
                 "pg": pt.pg,
-                "ratio": "" if pt.ratio is None else _rat(pt.ratio),
-                "coefficient": _rat(pt.coefficient),
-                "deviation": "" if pt.deviation is None else _rat(pt.deviation),
+                "ratio": "" if pt.ratio is None else pt.ratio,
+                "coefficient": pt.coefficient,
+                "deviation": "" if pt.deviation is None else pt.deviation,
                 "approx_deviation": "" if pt.deviation is None else _approx(pt.deviation),
                 "included": _flag(pt.included),
             }
@@ -409,7 +413,7 @@ def _stirling_recurrence_table(m_max: int) -> dict[tuple[int, int], int]:
     return table
 
 
-def _selftest_suites(order: int):
+def _selftest_suites():
     def stirling_routes() -> bool:
         table = _stirling_recurrence_table(20)
         return all(
@@ -432,9 +436,6 @@ def _selftest_suites(order: int):
             for n in range(0, 11)
             for r in range(1, 11)
         )
-
-    def dominance() -> bool:
-        return dominance_inequality_checks(order=order, nr_max=8)
 
     def monotone() -> bool:
         for n in range(1, 9):
@@ -493,7 +494,7 @@ def _selftest_suites(order: int):
         ("stirling-alternating-vs-recurrence", stirling_routes),
         ("factorial-sum-routes", factorial_sum_routes),
         ("multinomial-recursion", multinomial_recursion),
-        (f"dominance-chain-order-{order}", dominance),
+        (f"dominance-chain-order-{DOMINANCE_ORDER}", dominance_inequality_checks),
         ("bound-coefficient-monotone-scan", monotone),
         ("curve-identity-grid", curve_identities),
         ("surface-identity-grid", surface_identities),
@@ -505,20 +506,8 @@ def _selftest_suites(order: int):
 
 
 def cmd_selftest(args) -> int:
-    raw = os.environ.get(DOMINANCE_ORDER_ENV, "")
-    if raw:
-        try:
-            order = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{DOMINANCE_ORDER_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if order < 1:
-            raise ValueError(f"{DOMINANCE_ORDER_ENV} must be >= 1, got {order}")
-    else:
-        order = 64
     failures = 0
-    for name, suite in _selftest_suites(order):
+    for name, suite in _selftest_suites():
         try:
             ok = suite()
         except CrossCheckError as exc:
@@ -571,9 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--r", type=int, required=True)
     p_search.add_argument("--p", required=True, help="degree range, like 2..10")
-    grid = p_search.add_mutually_exclusive_group()
-    grid.add_argument("--equal", action="store_true", help="equal degrees only (default)")
-    grid.add_argument("--full-grid", action="store_true", help="all non-decreasing vectors")
+    p_search.add_argument("--full-grid", action="store_true",
+                          help="all non-decreasing vectors (default: equal degrees)")
     p_search.add_argument("--jobs", type=int, default=1, help="worker processes")
     add_format(p_search)
     p_search.set_defaults(func=cmd_search)

@@ -13,6 +13,7 @@ degree product in low dimension or codimension that the verdicts rest on.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,7 +288,8 @@ def search(
     Reports every strong-Durfee violation (mu < (n+1)! p_g) and, for
     surfaces, every violation of mu >= C(2, r) p_g.  The outcome does not
     depend on jobs: workers only evaluate verify() per spec and results
-    are merged in grid order.
+    are merged in grid order.  The pool never has more workers than there
+    are CPUs or specs, and with one worker the scan runs in process.
     """
     if n < 1 or r < 1:
         raise ValueError("expected n >= 1 and r >= 1")
@@ -303,11 +305,12 @@ def search(
     else:
         specs = [DegreeSpec(n, degrees) for degrees in degree_grid(r, p_min, p_max)]
 
-    if jobs == 1 or len(specs) <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(specs))
+    if workers == 1:
         verdicts = [verify(s) for s in specs]
     else:
-        chunk = max(1, len(specs) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(specs) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(verify, specs, chunksize=chunk))
 
     violations = []

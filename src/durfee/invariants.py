@@ -155,17 +155,21 @@ def _genus_compositions(spec: DegreeSpec) -> int:
 
 def _genus_inclusion_exclusion(spec: DegreeSpec) -> int:
     # signed count of monomials of degree sum(p) - N in N variables, with
-    # exponents capped by inclusion-exclusion over the degrees
-    from itertools import combinations
-
+    # exponents capped by inclusion-exclusion over the degrees; a subset's
+    # term depends only on its (size, sum), so subsets are counted by those
+    counts = {(0, 0): 1}
+    for p in spec.degrees:
+        grown = dict(counts)
+        for (size, subset_sum), count in counts.items():
+            key = (size + 1, subset_sum + p)
+            grown[key] = grown.get(key, 0) + count
+        counts = grown
     N = spec.ambient_dim
     total_degree = sum(spec.degrees)
-    acc = 0
-    for size in range(spec.r + 1):
-        sign = (-1) ** size
-        for subset in combinations(spec.degrees, size):
-            acc += sign * binomial(total_degree - sum(subset), N)
-    return acc
+    return sum(
+        (-1) ** size * count * binomial(total_degree - subset_sum, N)
+        for (size, subset_sum), count in counts.items()
+    )
 
 
 def _genus_series(spec: DegreeSpec) -> int:

@@ -159,7 +159,7 @@ def test_criterion_07_stirling_machinery():
 
 
 def test_criterion_08_dominance_chain():
-    ok = dominance_inequality_checks(order=64, nr_max=8)
+    ok = dominance_inequality_checks()
     for n in range(1, 9):
         for r in range(1, 9):
             ok = ok and stirling_growth_inequality(n, r)

@@ -151,12 +151,8 @@ class TestRecursionAndDominance:
         with pytest.raises(ValueError):
             multinomial_recursion_check(2, 0)
 
-    def test_dominance_chain_small_order(self):
-        assert dominance_inequality_checks(order=16, nr_max=4)
-
-    def test_dominance_order_range(self):
-        with pytest.raises(ValueError):
-            dominance_inequality_checks(order=0)
+    def test_dominance_chain(self):
+        assert dominance_inequality_checks()
 
 
 class TestProductBounds:

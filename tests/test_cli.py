@@ -1,12 +1,12 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
 import durfee
 from durfee.cli import (
-    DOMINANCE_ORDER_ENV,
     ReportDocument,
     _parse_degrees,
     _parse_int_list,
@@ -270,6 +270,12 @@ class TestSearchCommand:
         )
         assert serial == parallel
 
+    def test_equal_flag_is_gone(self, capsys):
+        # equal degrees are the default, and there is no flag that selects them
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "2", "--r", "2", "--p", "2..6", "--equal"])
+        assert exc.value.code == 2
+
     def test_bad_span_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "search", "--n", "2", "--r", "2", "--p", "2-6")
         assert code == 2
@@ -293,6 +299,33 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[1][7] == "false" and rows[1][3] == ""
         assert rows[3][7] == "true"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="interpreters before 3.10.7 have no int-to-str digit limit",
+)
+class TestLongResults:
+    # five degrees of 10^900: pg has about 6,300 digits, past the
+    # interpreter's default int-to-str limit of 4,300
+    BIG = ",".join(["1" + "0" * 900] * 5)
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    def test_render(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "2", "--degrees", self.BIG, "--format", fmt
+        )
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        text = out + err
+        assert "new-conjecture-holds" in text
+        assert max(len(word) for word in text.replace(",", " ").split()) > 4300
+
+    def test_long_degree_still_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--n", "2", "--degrees", "1" * 4301)
+        assert code == 2
+        assert "cannot parse degrees" in err
 
 
 class TestExitCodes:
@@ -328,21 +361,9 @@ class TestExitCodes:
 
 
 class TestSelftestCommand:
-    def test_runs_clean_with_reduced_order(self, capsys, monkeypatch):
-        monkeypatch.setenv(DOMINANCE_ORDER_ENV, "12")
+    def test_runs_clean(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "dominance-chain-order-12" in out
+        assert "dominance-chain-order-64" in out
         assert "selftest: all suites passed" in out
         assert "FAIL" not in out
-
-    def test_rejects_unparsable_order(self, capsys, monkeypatch):
-        monkeypatch.setenv(DOMINANCE_ORDER_ENV, "abc")
-        code, _, err = run_cli(capsys, "selftest")
-        assert code == 2
-        assert DOMINANCE_ORDER_ENV in err
-
-    def test_rejects_non_positive_order(self, capsys, monkeypatch):
-        monkeypatch.setenv(DOMINANCE_ORDER_ENV, "0")
-        code, _, _ = run_cli(capsys, "selftest")
-        assert code == 2

@@ -246,6 +246,36 @@ class TestSearch:
         parallel = search(2, 2, 2, 8, jobs=3)
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "cpus, specs, workers", [(2, 5, 2), (8, 3, 3), (None, 5, None), (1, 5, None)]
+    )
+    def test_pool_is_clamped(self, monkeypatch, cpus, specs, workers):
+        # the recorder runs the map in process, so no worker is ever started
+        import durfee.conjecture as conjecture
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(conjecture, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(conjecture.os, "cpu_count", lambda: cpus)
+        result = search(2, 2, 2, 1 + specs, jobs=10**6)
+        assert result.scanned == specs
+        assert pools == ([] if workers is None else [workers])
+        monkeypatch.undo()
+        assert result == search(2, 2, 2, 1 + specs)
+
     def test_argument_errors(self):
         with pytest.raises(ValueError):
             search(0, 2, 2, 4)

@@ -7,6 +7,7 @@ from durfee import (
     DegreeSpec,
     GENUS_METHODS,
     SmoothGermError,
+    binomial,
     equal_degree_genus,
     geometric_genus,
     invariant_report,
@@ -146,6 +147,39 @@ class TestGenus:
             spec = DegreeSpec(n, degrees)
             values = {m: geometric_genus(spec, m) for m in GENUS_METHODS}
             assert len(set(values.values())) == 1, values
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_inclusion_exclusion_matches_oracle(self, n, r):
+        # mixed, equal and unsorted degrees; grouping subsets by (size, sum)
+        # must not change the signed subset sum
+        shapes = [
+            tuple(2 + i % 4 for i in range(r)),
+            (3,) * r,
+            tuple(reversed(range(2, 2 + r))),
+            tuple(2 + (5 * i) % 7 for i in range(r)),
+        ]
+        for degrees in shapes:
+            spec = DegreeSpec(n, degrees)
+            expected = genus_series_brute(degrees, n)
+            assert geometric_genus(spec, "inclusion_exclusion") == expected
+            assert geometric_genus(spec, "compositions") == expected
+
+    def test_inclusion_exclusion_groups_equal_degrees(self, monkeypatch):
+        import durfee.invariants as invariants
+
+        calls = []
+
+        def counted(m, k):
+            calls.append((m, k))
+            return binomial(m, k)
+
+        monkeypatch.setattr(invariants, "binomial", counted)
+        spec = DegreeSpec(2, (3,) * 20)
+        value = geometric_genus(spec, "inclusion_exclusion")
+        assert len(calls) <= 21
+        monkeypatch.undo()
+        assert value == geometric_genus(spec, "compositions")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
