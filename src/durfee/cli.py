@@ -46,11 +46,10 @@ from .conjecture import (
     trace_ratio,
     verify,
 )
-from .exactmath import CrossCheckError, stirling2
+from .exactmath import CrossCheckError, stirling2, unlimited_int_str
 from .invariants import (
     SMOOTHNESS_NOTE,
     DegreeSpec,
-    SmoothGermError,
     invariant_report,
     milnor_number,
     geometric_genus,
@@ -134,11 +133,7 @@ def emit(doc: ReportDocument, fmt: str, out=None, err=None) -> None:
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    lift = hasattr(sys, "set_int_max_str_digits")  # absent before 3.10.7
-    if lift:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-    try:
+    with unlimited_int_str():
         if fmt == "table":
             out.write(render_table(doc))
             return
@@ -150,9 +145,6 @@ def emit(doc: ReportDocument, fmt: str, out=None, err=None) -> None:
             raise ValueError(f"unknown format {fmt!r}")
         for line in doc.meta_lines() + doc.note_lines():
             err.write(line + "\n")
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(limit)
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
@@ -193,38 +185,72 @@ INVARIANT_COLUMNS = (
     "new_verdict",
     "bound_value",
 )
+BOUNDS_COLUMNS = (
+    "n",
+    "r",
+    "coefficient",
+    "approx_coefficient",
+    "floor",
+    "at_floor",
+    "non_increasing",
+)
+SEARCH_COLUMNS = (
+    "n",
+    "r",
+    "degrees",
+    "mu",
+    "pg",
+    "violates",
+    "strong_bound",
+    "conjecture_bound",
+    "coefficient_bound",
+)
+TRACE_COLUMNS = (
+    "p",
+    "mu",
+    "pg",
+    "ratio",
+    "coefficient",
+    "deviation",
+    "approx_deviation",
+    "included",
+)
+
+
+def _row(columns: tuple[str, ...], *cells: Cell) -> dict[str, Cell]:
+    return dict(zip(columns, cells, strict=True))
 
 
 def _spec_from_args(args) -> tuple[DegreeSpec, list[str]]:
-    """Build the (sorted, reduced) spec to report on, with echo notes."""
-    raw = DegreeSpec(args.n, _parse_degrees(args.degrees))
+    """Build the spec to report on, with notes on how its degrees were echoed."""
+    given = _parse_degrees(args.degrees)
+    spec = DegreeSpec(args.n, given)
     notes = []
-    reduced = raw.reduced()
-    if reduced.degrees != raw.degrees:
-        dropped = raw.r - reduced.r
+    dropped = len(given) - spec.r
+    if dropped:
         notes.append(
             f"degrees reduced: dropped {dropped} hyperplane "
             f"entr{'y' if dropped == 1 else 'ies'} of degree 1"
         )
-    spec = reduced.sorted()
-    if spec.degrees != reduced.degrees:
+    if [p for p in given if p != 1] != list(spec.degrees):
         notes.append("degrees echoed in sorted order")
     return spec, notes
 
 
 def _verdict_row(verdict) -> dict[str, Cell]:
     spec = verdict.spec
-    return {
-        "n": spec.n,
-        "r": spec.r,
-        "degrees": _degrees_cell(spec.degrees),
-        "mu": verdict.mu,
-        "pg": verdict.pg,
-        "chi": (-1) ** spec.n * verdict.mu + 1,
-        "strong_verdict": verdict.strong_classification,
-        "new_verdict": verdict.classification,
-        "bound_value": verdict.bound_value,
-    }
+    return _row(
+        INVARIANT_COLUMNS,
+        spec.n,
+        spec.r,
+        _degrees_cell(spec.degrees),
+        verdict.mu,
+        verdict.pg,
+        (-1) ** spec.n * verdict.mu + 1,
+        verdict.strong_classification,
+        verdict.classification,
+        verdict.bound_value,
+    )
 
 
 def _verdict_document(command, spec, echo_notes, verdict) -> ReportDocument:
@@ -281,29 +307,22 @@ def cmd_bounds(args) -> int:
         previous = None
         for coeff in monotone_scan(n, args.r_max):
             rows.append(
-                {
-                    "n": coeff.n,
-                    "r": coeff.r,
-                    "coefficient": coeff.value,
-                    "approx_coefficient": _approx(coeff.value),
-                    "floor": 2**coeff.n,
-                    "at_floor": _flag(coeff.value == 2**coeff.n),
-                    "non_increasing": _flag(previous is None or coeff.value <= previous),
-                }
+                _row(
+                    BOUNDS_COLUMNS,
+                    coeff.n,
+                    coeff.r,
+                    coeff.value,
+                    _approx(coeff.value),
+                    2**coeff.n,
+                    _flag(coeff.value == 2**coeff.n),
+                    _flag(previous is None or coeff.value <= previous),
+                )
             )
             previous = coeff.value
     doc = ReportDocument(
         command="bounds",
         params={"n_max": str(args.n_max), "r_max": str(args.r_max)},
-        columns=(
-            "n",
-            "r",
-            "coefficient",
-            "approx_coefficient",
-            "floor",
-            "at_floor",
-            "non_increasing",
-        ),
+        columns=BOUNDS_COLUMNS,
         rows=rows,
         notes=["approx_coefficient is a six-digit decimal approximation"],
     )
@@ -319,17 +338,18 @@ def cmd_search(args) -> int:
     for violation in result.violations:
         v = violation.verdict
         rows.append(
-            {
-                "n": v.spec.n,
-                "r": v.spec.r,
-                "degrees": _degrees_cell(v.spec.degrees),
-                "mu": v.mu,
-                "pg": v.pg,
-                "violates": "+".join(violation.kinds),
-                "strong_bound": v.strong_value,
-                "conjecture_bound": v.bound_value,
-                "coefficient_bound": v.coefficient_ratio * v.pg,
-            }
+            _row(
+                SEARCH_COLUMNS,
+                v.spec.n,
+                v.spec.r,
+                _degrees_cell(v.spec.degrees),
+                v.mu,
+                v.pg,
+                "+".join(violation.kinds),
+                v.strong_value,
+                v.bound_value,
+                v.coefficient_ratio * v.pg,
+            )
         )
     doc = ReportDocument(
         command="search",
@@ -339,17 +359,7 @@ def cmd_search(args) -> int:
             "p": f"{result.p_min}..{result.p_max}",
             "mode": result.mode,
         },
-        columns=(
-            "n",
-            "r",
-            "degrees",
-            "mu",
-            "pg",
-            "violates",
-            "strong_bound",
-            "conjecture_bound",
-            "coefficient_bound",
-        ),
+        columns=SEARCH_COLUMNS,
         rows=rows,
     )
     doc.notes.append(f"scanned {result.scanned} specs, {len(result.violations)} violations")
@@ -370,30 +380,22 @@ def cmd_trace(args) -> int:
     rows: list[dict[str, Cell]] = []
     for pt in points:
         rows.append(
-            {
-                "p": pt.p,
-                "mu": pt.mu,
-                "pg": pt.pg,
-                "ratio": "" if pt.ratio is None else pt.ratio,
-                "coefficient": pt.coefficient,
-                "deviation": "" if pt.deviation is None else pt.deviation,
-                "approx_deviation": "" if pt.deviation is None else _approx(pt.deviation),
-                "included": _flag(pt.included),
-            }
+            _row(
+                TRACE_COLUMNS,
+                pt.p,
+                pt.mu,
+                pt.pg,
+                "" if pt.ratio is None else pt.ratio,
+                pt.coefficient,
+                "" if pt.deviation is None else pt.deviation,
+                "" if pt.deviation is None else _approx(pt.deviation),
+                _flag(pt.included),
+            )
         )
     doc = ReportDocument(
         command="trace",
         params={"n": str(args.n), "r": str(args.r), "p": args.p},
-        columns=(
-            "p",
-            "mu",
-            "pg",
-            "ratio",
-            "coefficient",
-            "deviation",
-            "approx_deviation",
-            "included",
-        ),
+        columns=TRACE_COLUMNS,
         rows=rows,
         notes=[
             "approx_deviation is a six-digit decimal approximation",
@@ -584,7 +586,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SmoothGermError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrossCheckError as exc:

@@ -23,7 +23,13 @@ from typing import Iterator, Optional, Sequence
 
 from .bounds import balanced_min_product, bound_coefficient, min_product_bound
 from .exactmath import falling_factorial
-from .invariants import DegreeSpec, agreed_value, geometric_genus, milnor_number
+from .invariants import (
+    MILNOR_METHODS,
+    DegreeSpec,
+    agreed_value,
+    geometric_genus,
+    milnor_number,
+)
 
 STRONG_HOLDS = "strong-durfee-holds"
 STRONG_VIOLATED = "strong-durfee-violated"
@@ -34,8 +40,8 @@ IDENTITY_FAILED = "identity-failed"
 
 SEARCH_MODES = ("equal_degrees", "full_grid")
 
-# The routes verify() cross-checks; each pair is mathematically distinct.
-VERIFY_MU_METHODS = ("closed_sum", "series")
+# The genus routes verify() cross-checks: the distinct ones that are not
+# dense in the degrees, unlike series_coeff.
 VERIFY_PG_METHODS = ("compositions", "inclusion_exclusion")
 
 
@@ -111,21 +117,16 @@ class TracePoint:
 def verify(spec: DegreeSpec) -> VerdictReport:
     """Evaluate one spec against the applicable bound, cross-checked.
 
-    mu and p_g are each computed by the two routes in VERIFY_MU_METHODS and
+    mu and p_g are each computed by the routes in MILNOR_METHODS and
     VERIFY_PG_METHODS, which must agree, and then judged.
     """
-    spec = spec.reduced()
-    mu, _ = agreed_value(spec, VERIFY_MU_METHODS, milnor_number, "milnor")
+    mu, _ = agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor")
     pg, _ = agreed_value(spec, VERIFY_PG_METHODS, geometric_genus, "genus")
     return judge(spec, mu, pg)
 
 
 def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
-    """The verdict for one spec, given its already cross-checked mu and p_g.
-
-    The verdict is taken on the reduced spec (degree-1 entries dropped).
-    """
-    spec = spec.reduced()
+    """The verdict for one spec, given its already cross-checked mu and p_g."""
     n, r = spec.n, spec.r
 
     strong_value = Fraction(factorial(n + 1) * pg)
@@ -176,7 +177,6 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
 
 def curve_identity(spec: DegreeSpec) -> bool:
     """n = 1: mu + (prod p_i) - 1 equals twice the delta invariant."""
-    spec = spec.reduced()
     if spec.n != 1:
         raise ValueError("curve identity needs n = 1")
     mu = milnor_number(spec)
@@ -186,7 +186,6 @@ def curve_identity(spec: DegreeSpec) -> bool:
 
 def surface_excess(spec: DegreeSpec) -> Fraction:
     """The exact excess term E in the n = 2 identity; sign varies with degrees."""
-    spec = spec.reduced()
     if spec.n != 2:
         raise ValueError("surface excess needs n = 2")
     r, degrees = spec.r, spec.degrees
@@ -202,7 +201,6 @@ def surface_excess(spec: DegreeSpec) -> Fraction:
 
 def surface_identity(spec: DegreeSpec) -> bool:
     """n = 2: mu + P*E + 1 equals C(2, r) * p_g exactly."""
-    spec = spec.reduced()
     if spec.n != 2:
         raise ValueError("surface identity needs n = 2")
     mu = milnor_number(spec)
@@ -236,7 +234,6 @@ def min_product_inequality(spec: DegreeSpec) -> bool:
     When n > r the strictly better balanced bound must hold strictly as
     well; for n <= r there is nothing extra to check.
     """
-    spec = spec.reduced()
     if spec.n < 2:
         raise ValueError("product bound needs n >= 2")
     n, r = spec.n, spec.r
@@ -334,8 +331,8 @@ def search(
 def trace_ratio(n: int, r: int, p_values: Sequence[int]) -> tuple[TracePoint, ...]:
     """mu / p_g against the limiting coefficient along equal degrees.
 
-    Points with p_g = 0 are reported but excluded from ratios.  Fast
-    single-route evaluation; the cross-checked path is verify().
+    Points with p_g = 0 are reported but excluded from ratios.  mu and p_g
+    are cross-checked as in verify().
     """
     if n < 1 or r < 1:
         raise ValueError("expected n >= 1 and r >= 1")
@@ -345,8 +342,8 @@ def trace_ratio(n: int, r: int, p_values: Sequence[int]) -> tuple[TracePoint, ..
         if p < 2:
             raise ValueError("trace degrees must be >= 2")
         spec = DegreeSpec(n, (p,) * r)
-        mu = milnor_number(spec)
-        pg = geometric_genus(spec)
+        mu, _ = agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor")
+        pg, _ = agreed_value(spec, VERIFY_PG_METHODS, geometric_genus, "genus")
         if pg == 0:
             points.append(
                 TracePoint(p, mu, pg, None, coefficient, None, included=False)

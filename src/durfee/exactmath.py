@@ -4,12 +4,15 @@ Everything downstream (invariants, bound coefficients, verdicts) reduces to
 integer arithmetic on binomial coefficients, factorials, Stirling numbers of
 the second kind and weak compositions.  Python integers are arbitrary
 precision and fractions.Fraction keeps rationals in lowest terms with a
-positive denominator, so nothing here can overflow or round.
+positive denominator, so nothing here can overflow or round, and
+unlimited_int_str() lets any of them be written out in full.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from typing import Iterator
 
 Composition = tuple[int, ...]
@@ -22,6 +25,24 @@ class CrossCheckError(RuntimeError):
     integer division that must be exact is not.  Always indicates a bug in
     the arithmetic, never bad user input; the CLI maps it to exit code 3.
     """
+
+
+@contextmanager
+def unlimited_int_str() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit limit inside the block only.
+
+    Exact results may have any number of digits, so the text of a report or
+    of a CrossCheckError is built under this; input parsing keeps the limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def binomial(m: int, k: int) -> int:

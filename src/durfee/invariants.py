@@ -18,9 +18,9 @@ agreed_value() runs a set of routes and raises CrossCheckError on any
 disagreement rather than returning anything.
 
 A degree equal to 1 is a hyperplane and does not change the germ, only the
-ambient dimension; every formula here is invariant under dropping such
-entries, and reduce() makes the normalization explicit.  A spec whose
-degrees are all 1 is a smooth germ and is reported as such, not computed.
+ambient dimension, and every formula here is symmetric in the degrees; so
+DegreeSpec drops such entries and sorts the rest when it is built.  A spec
+whose degrees are all 1 is a smooth germ and cannot be built.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from math import factorial, prod
 from typing import Callable, Sequence
 
 from .bounds import power_composition_sum
-from .exactmath import CrossCheckError, binomial, compositions
+from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
 from .series import poly
 
-MILNOR_METHODS = ("closed_sum", "series", "equal_degree")
+MILNOR_METHODS = ("closed_sum", "series")
 GENUS_METHODS = ("compositions", "inclusion_exclusion", "series_coeff")
 
 SMOOTHNESS_NOTE = (
@@ -48,20 +48,30 @@ class SmoothGermError(ValueError):
 
 @dataclass(frozen=True)
 class DegreeSpec:
-    """A singularity dimension n together with the hypersurface degrees."""
+    """A singularity dimension n together with the hypersurface degrees.
+
+    The degrees are stored in normal form: degree-1 entries (hyperplanes)
+    dropped and the rest sorted, so equal germs give equal specs.
+    """
 
     n: int
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.degrees))
+        degrees = tuple(self.degrees)
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError("dimension n must be an integer >= 1")
-        if not self.degrees:
+        if not degrees:
             raise ValueError("at least one degree is required")
-        for p in self.degrees:
+        for p in degrees:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError("degrees must be integers >= 1")
+        kept = tuple(sorted(p for p in degrees if p != 1))
+        if not kept:
+            raise SmoothGermError(
+                "all degrees equal 1: smooth germ, invariants are not computed"
+            )
+        object.__setattr__(self, "degrees", kept)
 
     @property
     def r(self) -> int:
@@ -74,24 +84,6 @@ class DegreeSpec:
     @property
     def degree_product(self) -> int:
         return prod(self.degrees)
-
-    @property
-    def is_reduced(self) -> bool:
-        return all(p >= 2 for p in self.degrees)
-
-    def reduced(self) -> "DegreeSpec":
-        """Drop degree-1 entries (hyperplanes); same germ, smaller codimension."""
-        if 1 not in self.degrees:
-            return self
-        kept = tuple(p for p in self.degrees if p >= 2)
-        if not kept:
-            raise SmoothGermError(
-                "all degrees equal 1: smooth germ, invariants are not computed"
-            )
-        return DegreeSpec(self.n, kept)
-
-    def sorted(self) -> "DegreeSpec":
-        return DegreeSpec(self.n, tuple(sorted(self.degrees)))
 
 
 def _milnor_closed_sum(spec: DegreeSpec) -> int:
@@ -120,30 +112,18 @@ def _milnor_series(spec: DegreeSpec) -> int:
     return chi - 1 if spec.n % 2 == 0 else 1 - chi
 
 
-def _milnor_equal_degree(spec: DegreeSpec) -> int:
-    if len(set(spec.degrees)) != 1:
-        raise ValueError("equal_degree method requires all degrees equal")
-    p, r, n = spec.degrees[0], spec.r, spec.n
-    s = sum((1 - p) ** j * binomial(j + r - 1, j) for j in range(n + 1))
-    value = p**r * s - 1
-    return value if n % 2 == 0 else -value
-
-
 def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
     """Milnor number of the cone singularity, by the chosen route."""
-    spec = spec.reduced()
     if method == "closed_sum":
         return _milnor_closed_sum(spec)
     if method == "series":
         return _milnor_series(spec)
-    if method == "equal_degree":
-        return _milnor_equal_degree(spec)
     raise ValueError(f"unknown milnor method {method!r}; choose from {MILNOR_METHODS}")
 
 
 def milnor_fiber_euler(spec: DegreeSpec) -> int:
     """Euler characteristic of the Milnor fiber; equals (-1)^n mu + 1."""
-    return _chi_series(spec.reduced())
+    return _chi_series(spec)
 
 
 def _genus_compositions(spec: DegreeSpec) -> int:
@@ -187,7 +167,6 @@ def _genus_series(spec: DegreeSpec) -> int:
 
 def geometric_genus(spec: DegreeSpec, method: str = "compositions") -> int:
     """Geometric genus of the cone singularity (delta invariant when n = 1)."""
-    spec = spec.reduced()
     if method == "compositions":
         return _genus_compositions(spec)
     if method == "inclusion_exclusion":
@@ -223,7 +202,7 @@ def equal_degree_genus(n: int, r: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """All invariant values for one spec, with every applicable route run."""
+    """All invariant values for one spec, with every route run."""
 
     spec: DegreeSpec
     mu: int
@@ -245,19 +224,18 @@ def agreed_value(
     """
     values = {m: compute(spec, m) for m in methods}
     if len(set(values.values())) != 1:
-        raise CrossCheckError(f"{label} methods disagree for {spec}: {values}")
+        with unlimited_int_str():
+            message = f"{label} methods disagree for {spec}: {values}"
+        raise CrossCheckError(message)
     return values[methods[0]], values
 
 
 def invariant_report(spec: DegreeSpec) -> InvariantReport:
-    """Compute mu and p_g by every applicable method and enforce agreement.
+    """Compute mu and p_g by every route and enforce agreement.
 
     chi is (-1)^n mu + 1, which the series route to mu already rests on.
     """
-    mu_methods = MILNOR_METHODS
-    if len(set(spec.reduced().degrees)) != 1:
-        mu_methods = ("closed_sum", "series")
-    mu, mu_values = agreed_value(spec, mu_methods, milnor_number, "milnor")
+    mu, mu_values = agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor")
     pg, pg_values = agreed_value(spec, GENUS_METHODS, geometric_genus, "genus")
     return InvariantReport(
         spec=spec,

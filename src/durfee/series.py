@@ -51,24 +51,13 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.coeffs!r}, order={self.order})"
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        other = self._aligned(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         other = self._aligned(other)
         return TruncatedSeries(
             [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
         )
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-a for a in self.coeffs], self.order)
-
-    def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([a * other for a in self.coeffs], self.order)
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         other = self._aligned(other)
         out = [Fraction(0)] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
@@ -79,11 +68,6 @@ class TruncatedSeries:
                 if b:
                     out[i + j] += a * b
         return TruncatedSeries(out, self.order)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar) -> "TruncatedSeries":
-        return TruncatedSeries([a / scalar for a in self.coeffs], self.order)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term."""

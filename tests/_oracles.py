@@ -79,6 +79,16 @@ def milnor_brute(n: int, degrees: tuple[int, ...]) -> int:
     return prod_p * acc - (-1) ** n
 
 
+def milnor_equal_degree(n: int, r: int, p: int) -> int:
+    """Closed form at r equal degrees p.
+
+    With h_k(p-1, ..., p-1) = (p-1)^k C(k+r-1, k), the alternating
+    composition sum collapses to (-1)^n (p^r sum_k (1-p)^k C(k+r-1, k) - 1).
+    """
+    s = sum((1 - p) ** k * pascal(k + r - 1, k) for k in range(n + 1))
+    return (-1) ** n * (p**r * s - 1)
+
+
 def euler_brute(n: int, degrees: tuple[int, ...]) -> int:
     """chi of the smoothing fibre via integer-only series expansion.
 

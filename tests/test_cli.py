@@ -300,6 +300,17 @@ class TestTraceCommand:
         assert rows[1][7] == "false" and rows[1][3] == ""
         assert rows[3][7] == "true"
 
+    @pytest.mark.parametrize("route", ["_milnor_series", "_genus_inclusion_exclusion"])
+    def test_values_are_cross_checked(self, capsys, monkeypatch, route):
+        import durfee.invariants as invariants
+
+        original = getattr(invariants, route)
+        monkeypatch.setattr(invariants, route, lambda spec: original(spec) + 1)
+        code, out, err = run_cli(capsys, "trace", "--n", "2", "--r", "2", "--p", "3,10")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal cross-check failure: ")
+
 
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
@@ -321,6 +332,20 @@ class TestLongResults:
         text = out + err
         assert "new-conjecture-holds" in text
         assert max(len(word) for word in text.replace(",", " ").split()) > 4300
+
+    def test_long_disagreement_exits_3(self, capsys, monkeypatch):
+        import durfee.invariants as invariants
+
+        original = invariants._genus_inclusion_exclusion
+        monkeypatch.setattr(
+            invariants, "_genus_inclusion_exclusion", lambda spec: original(spec) + 1
+        )
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--degrees", self.BIG)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal cross-check failure: genus methods disagree")
+        assert sys.get_int_max_str_digits() == limit
 
     def test_long_degree_still_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--degrees", "1" * 4301)

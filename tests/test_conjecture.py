@@ -10,7 +10,9 @@ from durfee import (
     DegreeSpec,
     curve_identity,
     degree_grid,
+    geometric_genus,
     hypersurface_identity,
+    milnor_number,
     min_product_inequality,
     search,
     surface_excess,
@@ -24,7 +26,6 @@ from durfee.conjecture import (
     IDENTITY_VERIFIED,
     STRONG_HOLDS,
     STRONG_VIOLATED,
-    VERIFY_MU_METHODS,
     VERIFY_PG_METHODS,
     _compare,
 )
@@ -87,14 +88,16 @@ class TestVerify:
         assert v.bound_coefficient == 6
 
     def test_needs_two_methods(self):
-        for methods, known in (
-            (VERIFY_MU_METHODS, MILNOR_METHODS),
-            (VERIFY_PG_METHODS, GENUS_METHODS),
-            (MILNOR_METHODS, MILNOR_METHODS),
-            (GENUS_METHODS, GENUS_METHODS),
+        # each constant names at least two distinct routes its function knows
+        spec = DegreeSpec(2, (3, 3))
+        for methods, compute in (
+            (MILNOR_METHODS, milnor_number),
+            (VERIFY_PG_METHODS, geometric_genus),
+            (GENUS_METHODS, geometric_genus),
         ):
             assert len(set(methods)) >= 2
-            assert set(methods) <= set(known)
+            assert len({compute(spec, m) for m in methods}) == 1
+        assert set(VERIFY_PG_METHODS) <= set(GENUS_METHODS)
 
     def test_method_disagreement_raises(self, monkeypatch):
         import durfee.conjecture as conj

@@ -6,6 +6,7 @@ from durfee import (
     CrossCheckError,
     DegreeSpec,
     GENUS_METHODS,
+    MILNOR_METHODS,
     SmoothGermError,
     binomial,
     equal_degree_genus,
@@ -15,7 +16,13 @@ from durfee import (
     milnor_number,
 )
 
-from _oracles import euler_brute, genus_brute, genus_series_brute, milnor_brute
+from _oracles import (
+    euler_brute,
+    genus_brute,
+    genus_series_brute,
+    milnor_brute,
+    milnor_equal_degree,
+)
 
 # small grid shared by the oracle comparisons; non-decreasing is enough
 # because everything is symmetric in the degrees
@@ -33,7 +40,6 @@ class TestDegreeSpec:
         assert spec.r == 2
         assert spec.ambient_dim == 4
         assert spec.degree_product == 9
-        assert spec.is_reduced
 
     def test_coerces_degree_sequence(self):
         assert DegreeSpec(1, [2, 3]).degrees == (2, 3)
@@ -52,20 +58,23 @@ class TestDegreeSpec:
         with pytest.raises(ValueError):
             DegreeSpec(2, (True, 3))
 
-    def test_reduced_drops_hyperplanes(self):
+    def test_drops_hyperplanes(self):
         spec = DegreeSpec(2, (1, 3, 1))
-        assert spec.reduced() == DegreeSpec(2, (3,))
-        assert not spec.is_reduced
-        # already reduced specs come back unchanged, same object
-        done = DegreeSpec(2, (3,))
-        assert done.reduced() is done
+        assert spec.degrees == (3,)
+        assert spec.r == 1
+        assert spec == DegreeSpec(2, (3,))
 
     def test_all_ones_is_smooth(self):
-        with pytest.raises(SmoothGermError):
-            DegreeSpec(3, (1, 1)).reduced()
+        with pytest.raises(SmoothGermError, match="smooth germ"):
+            DegreeSpec(3, (1, 1))
+        # validation comes first: a bad entry is not reported as smooth
+        with pytest.raises(ValueError, match="integers >= 1"):
+            DegreeSpec(3, (1, 0))
 
     def test_sorted(self):
-        assert DegreeSpec(2, (5, 2, 3)).sorted().degrees == (2, 3, 5)
+        assert DegreeSpec(2, (5, 2, 3)).degrees == (2, 3, 5)
+        assert DegreeSpec(2, (5, 1, 2)).degrees == (2, 5)
+        assert DegreeSpec(2, (3, 2)) == DegreeSpec(2, (2, 3))
 
 
 class TestMilnor:
@@ -90,18 +99,15 @@ class TestMilnor:
     def test_methods_agree(self):
         for n, degrees in GRID:
             spec = DegreeSpec(n, degrees)
-            closed = milnor_number(spec, "closed_sum")
-            assert milnor_number(spec, "series") == closed
-            if len(set(degrees)) == 1:
-                assert milnor_number(spec, "equal_degree") == closed
+            assert milnor_number(spec, "series") == milnor_number(spec, "closed_sum")
 
-    def test_equal_degree_method_rejects_mixed_degrees(self):
-        with pytest.raises(ValueError):
-            milnor_number(DegreeSpec(2, (2, 3)), "equal_degree")
-
-    def test_equal_degree_method_reduces_first(self):
-        spec = DegreeSpec(2, (1, 3))
-        assert milnor_number(spec, "equal_degree") == 8
+    def test_matches_equal_degree_closed_form(self):
+        equal = [(n, degrees) for n, degrees in GRID if len(set(degrees)) == 1]
+        assert len(equal) == 4 * 3 * 5
+        for n, degrees in equal:
+            expected = milnor_equal_degree(n, len(degrees), degrees[0])
+            for method in MILNOR_METHODS:
+                assert milnor_number(DegreeSpec(n, degrees), method) == expected
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -239,11 +245,12 @@ class TestInvariantReport:
         assert report.pg == 15
         assert report.chi == 81
         assert set(report.pg_by_method) == set(GENUS_METHODS)
-        assert set(report.mu_by_method) == {"closed_sum", "series", "equal_degree"}
-
-    def test_equal_degree_route_only_when_applicable(self):
-        report = invariant_report(DegreeSpec(2, (2, 3)))
         assert set(report.mu_by_method) == {"closed_sum", "series"}
+
+    def test_same_routes_for_mixed_degrees(self):
+        report = invariant_report(DegreeSpec(2, (2, 3)))
+        assert set(report.mu_by_method) == set(MILNOR_METHODS)
+        assert set(report.pg_by_method) == set(GENUS_METHODS)
 
     def test_smooth_germ_rejected(self):
         with pytest.raises(SmoothGermError):

@@ -36,20 +36,15 @@ def test_coefficient_range_checked():
 
 def test_alignment_errors():
     with pytest.raises(ValueError):
-        poly([1], 2) + poly([1], 3)
+        poly([1], 2) - poly([1], 3)
     with pytest.raises(TypeError):
-        poly([1], 2) + 1  # type: ignore[operator]
+        poly([1], 2) - 1  # type: ignore[operator]
 
 
 def test_linear_ops():
     a = poly([1, 2, 3], 2)
     b = poly([4, 0, -1], 2)
-    assert (a + b).coeffs == [5, 2, 2]
     assert (a - b).coeffs == [-3, 2, 4]
-    assert (-a).coeffs == [-1, -2, -3]
-    assert (a * 2).coeffs == [2, 4, 6]
-    assert (2 * a).coeffs == [2, 4, 6]
-    assert (a / 2).coeffs == [Fraction(1, 2), 1, Fraction(3, 2)]
 
 
 @given(coeff_lists, coeff_lists)
@@ -143,7 +138,8 @@ nonneg_lists = st.lists(
 def test_dominance_survives_nonnegative_multiplication(xs, ys, zs):
     order = max(len(xs), len(ys), len(zs))
     a, b, c = poly(xs, order), poly(ys, order), poly(zs, order)
-    big = a + b  # dominates b and has non-negative coefficients
+    # dominates b and has non-negative coefficients
+    big = poly([x + y for x, y in zip(a.coeffs, b.coeffs)], order)
     assert big.dominates(b)
     assert (big * c).dominates(b * c)
 
