@@ -14,7 +14,6 @@ degree product in low dimension or codimension that the verdicts rest on.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -306,6 +305,7 @@ def search(
     if workers == 1:
         verdicts = [verify(s) for s in specs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # heavy, so only here
         chunk = max(1, len(specs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(verify, specs, chunksize=chunk))

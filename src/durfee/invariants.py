@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Callable, Sequence
 
 from .bounds import power_composition_sum
@@ -95,16 +95,16 @@ def _milnor_closed_sum(spec: DegreeSpec) -> int:
 
 
 def _chi_series(spec: DegreeSpec) -> int:
-    """Euler characteristic of the Milnor fiber via coefficient extraction."""
-    n = spec.n
-    num = poly([1, 1], n) ** spec.ambient_dim
-    den = poly([1], n)
+    """Euler characteristic of the Milnor fiber, [x^n] (1+x)^N / prod(1 + p x).
+
+    Each division by 1 + p x runs in place on integers; it is exact because
+    the constant term is 1.
+    """
+    c = [comb(spec.ambient_dim, k) for k in range(spec.n + 1)]
     for p in spec.degrees:
-        den = den * poly([1, p], n)
-    c = (num * den.inverse()).coefficient(n)
-    if c.denominator != 1:
-        raise CrossCheckError(f"chi coefficient for {spec} is not an integer: {c}")
-    return spec.degree_product * c.numerator
+        for k in range(1, spec.n + 1):
+            c[k] -= p * c[k - 1]
+    return spec.degree_product * c[-1]
 
 
 def _milnor_series(spec: DegreeSpec) -> int:

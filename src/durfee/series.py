@@ -1,12 +1,11 @@
 """Truncated power series with exact rational coefficients.
 
 A series is a dense coefficient list c[0..order] over Fraction; every
-operation truncates at the shared order.  Two jobs drive the design:
-coefficient extraction from rational generating functions (the Euler
-characteristic of the Milnor fiber, the lattice count behind the geometric
-genus) and coefficientwise dominance between exponential generating
-functions, which is how the bound-coefficient monotonicity is certified.
-No floating point anywhere.
+operation truncates at the shared order.  Two jobs drive the design: the
+z-series coefficient behind the geometric genus (a lattice count) and
+coefficientwise dominance between exponential generating functions, which
+is how the bound-coefficient monotonicity is certified.  No floating point
+anywhere.
 """
 
 from __future__ import annotations

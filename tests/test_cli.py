@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -392,3 +394,20 @@ class TestSelftestCommand:
         assert "dominance-chain-order-64" in out
         assert "selftest: all suites passed" in out
         assert "FAIL" not in out
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_process_pool(self):
+        # the pool machinery is imported only when search starts workers
+        src = str(Path(durfee.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import durfee.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code, src],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

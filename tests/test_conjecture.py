@@ -254,6 +254,8 @@ class TestSearch:
     )
     def test_pool_is_clamped(self, monkeypatch, cpus, specs, workers):
         # the recorder runs the map in process, so no worker is ever started
+        import concurrent.futures
+
         import durfee.conjecture as conjecture
 
         pools = []
@@ -271,7 +273,7 @@ class TestSearch:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(conjecture, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(conjecture.os, "cpu_count", lambda: cpus)
         result = search(2, 2, 2, 1 + specs, jobs=10**6)
         assert result.scanned == specs

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -131,6 +132,41 @@ class TestEuler:
     def test_chi_matches_integer_convolution_oracle(self):
         for n, degrees in GRID:
             assert milnor_fiber_euler(DegreeSpec(n, degrees)) == euler_brute(n, degrees)
+
+
+def _mu_from_euler_oracle(n, degrees):
+    chi = euler_brute(n, degrees)
+    return chi - 1 if n % 2 == 0 else 1 - chi
+
+
+class TestIntegerSeriesRoute:
+    # deep shapes, seeded: n = 1..10, r = 1..6, degrees 2..9; and huge degrees
+    DEEP = [
+        (n, tuple(random.Random(100 * n + r).choices(range(2, 10), k=r)))
+        for n in range(1, 11)
+        for r in range(1, 7)
+    ]
+    HUGE = (3, (10**40, 10**60 + 7))
+
+    def test_routes_match_oracle(self):
+        for n, degrees in self.DEEP + [self.HUGE]:
+            spec = DegreeSpec(n, degrees)
+            expected = _mu_from_euler_oracle(n, degrees)
+            assert milnor_number(spec, "series") == expected, (n, degrees)
+            assert milnor_number(spec, "closed_sum") == expected, (n, degrees)
+
+    def test_builds_no_series(self, monkeypatch):
+        from durfee.series import TruncatedSeries
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the series mu route used TruncatedSeries arithmetic")
+
+        for name in ("__mul__", "inverse", "__pow__"):
+            monkeypatch.setattr(TruncatedSeries, name, refuse)
+        for n, degrees in self.DEEP[::7] + [self.HUGE]:
+            spec = DegreeSpec(n, degrees)
+            assert milnor_number(spec, "series") == _mu_from_euler_oracle(n, degrees)
+            assert milnor_fiber_euler(spec) == euler_brute(n, degrees)
 
 
 class TestGenus:
