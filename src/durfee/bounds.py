@@ -20,7 +20,9 @@ x e^(x/2), and (e^x - 1)^2 dominates x^2 e^x).
 The module also carries the two auxiliary composition sums used to compare
 mu against p_g termwise: a power sum prod (p_i - 1)^(k_i) on the mu side
 and a falling-factorial sum prod (p_i-1)(p_i-2)..(p_i-k_i) on the genus
-side, together with their recursion and comparison checks.
+side, together with their recursion and comparison checks.  Both sums are
+coefficients of a product of one weight list per degree, computed by
+exactmath.product_coefficients without enumerating compositions.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .exactmath import (
     binomial,
     compositions,
     falling_factorial,
+    product_coefficients,
     stirling2,
 )
 from .series import TruncatedSeries, exp_series, one, poly
@@ -77,13 +80,22 @@ class BoundCoefficient:
             )
 
 
+# C(n, r) by (n, r), filled on first use: verify() asks for the same few
+# coefficients once per spec.  A plain dict, because functools.cache would
+# give the function a __wrapped__ attribute.
+_BOUND_COEFFICIENTS: dict[tuple[int, int], Fraction] = {}
+
+
 def bound_coefficient(n: int, r: int) -> Fraction:
-    """C(n, r) as an exact rational, by the Stirling closed form."""
+    """C(n, r) as an exact rational, by the Stirling closed form, memoised."""
     if n < 1 or r < 1:
         raise ValueError("expected n >= 1 and r >= 1")
-    return Fraction(
-        binomial(n + r - 1, n) * factorial(n + r), stirling2(n + r, r) * factorial(r)
-    )
+    value = _BOUND_COEFFICIENTS.get((n, r))
+    if value is None:
+        value = _BOUND_COEFFICIENTS[n, r] = Fraction(
+            binomial(n + r - 1, n) * factorial(n + r), stirling2(n + r, r) * factorial(r)
+        )
+    return value
 
 
 def asymptotic_ratio(n: int, r: int) -> Fraction:
@@ -197,28 +209,29 @@ def balanced_min_product(n: int, r: int) -> int:
 
 
 def power_composition_sum(m: int, degrees: tuple[int, ...]) -> int:
-    """Sum over weak compositions (k_i) of m of prod (p_i - 1)^(k_i)."""
-    if m < 0:
-        raise ValueError("expected m >= 0")
-    return sum(
-        prod((p - 1) ** k for p, k in zip(degrees, comp))
-        for comp in compositions(m, len(degrees))
-    )
+    """Sum over weak compositions (k_i) of m of prod (p_i - 1)^(k_i).
+
+    This is h_m(p_1 - 1, .., p_r - 1), the x^m coefficient of
+    prod_i sum_k (p_i - 1)^k x^k; a degree 1 contributes 0^0 = 1 at k = 0
+    only, and an empty degree list gives 1 for m = 0, else 0.
+    """
+    return product_coefficients(
+        ([(p - 1) ** k for k in range(m + 1)] for p in degrees), m
+    )[-1]
 
 
 def falling_composition_sum(m: int, degrees: tuple[int, ...]) -> int:
     """Sum over weak compositions (k_i) of m of prod (p_i-1)(p_i-2)..(p_i-k_i).
 
-    An empty degree list is allowed and follows the empty-composition
-    convention: 1 for m = 0, else 0.  Termwise this sum is dominated by the
-    power sum above, which is what makes the product bound on mu work.
+    The x^m coefficient of prod_i sum_k (p_i-1)..(p_i-k) x^k; a part k
+    longer than p_i - 1 has weight 0.  An empty degree list is allowed and
+    follows the empty-composition convention: 1 for m = 0, else 0.
+    Termwise this sum is dominated by the power sum above, which is what
+    makes the product bound on mu work.
     """
-    if m < 0:
-        raise ValueError("expected m >= 0")
-    return sum(
-        prod(falling_factorial(p - 1, k) for p, k in zip(degrees, comp))
-        for comp in compositions(m, len(degrees))
-    )
+    return product_coefficients(
+        ([falling_factorial(p - 1, k) for k in range(m + 1)] for p in degrees), m
+    )[-1]
 
 
 def falling_sum_recursion_check(n: int, degrees: tuple[int, ...]) -> bool:

@@ -581,9 +581,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and kept: a parser is a web of reference cycles,
+# so a fresh one per call would leave cyclic garbage behind every call.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -44,10 +44,10 @@ SEARCH_MODES = ("equal_degrees", "full_grid")
 VERIFY_PG_METHODS = ("compositions", "inclusion_exclusion")
 
 
-def _compare(mu: int, bound: Fraction) -> str:
-    if mu < bound:
+def _compare(lhs: int, rhs: int) -> str:
+    if lhs < rhs:
         return "<"
-    if mu == bound:
+    if lhs == rhs:
         return "="
     return ">"
 
@@ -125,17 +125,21 @@ def verify(spec: DegreeSpec) -> VerdictReport:
 
 
 def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
-    """The verdict for one spec, given its already cross-checked mu and p_g."""
+    """The verdict for one spec, given its already cross-checked mu and p_g.
+
+    Each comparison of mu against coefficient * p_g is made in integers, as
+    mu * den against num * p_g; only the reported values are Fractions.
+    """
     n, r = spec.n, spec.r
 
-    strong_value = Fraction(factorial(n + 1) * pg)
-    strong_comparison = _compare(mu, strong_value)
+    strong = factorial(n + 1) * pg
+    strong_comparison = _compare(mu, strong)
     strong_classification = (
         STRONG_HOLDS if strong_comparison in (">", "=") else STRONG_VIOLATED
     )
 
     ratio = bound_coefficient(n, r)
-    coefficient_comparison = _compare(mu, ratio * pg)
+    coefficient_comparison = _compare(mu * ratio.denominator, ratio.numerator * pg)
 
     if n == 1:
         coeff = Fraction(2)
@@ -143,16 +147,15 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
         holds = mu + spec.degree_product - 1 == 2 * pg
         name = "curve-identity"
         classification = IDENTITY_VERIFIED if holds else IDENTITY_FAILED
-        comparison = _compare(mu, coeff * pg)
+        comparison = _compare(mu, 2 * pg)
     else:
-        if n == 2 and r == 1:
-            coeff, strict = Fraction(6), False
-        elif n == 2:
-            coeff, strict = Fraction(4), True
+        name = "new-conjecture"
+        if n == 2:
+            coeff, strict = (Fraction(6), False) if r == 1 else (Fraction(4), True)
+            comparison = _compare(mu, coeff.numerator * pg)
         else:
             coeff, strict = ratio, False
-        name = "new-conjecture"
-        comparison = _compare(mu, coeff * pg)
+            comparison = coefficient_comparison
         holds = comparison == ">" or (not strict and comparison == "=")
         classification = CONJECTURE_HOLDS if holds else CONJECTURE_VIOLATED
 
@@ -166,7 +169,7 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
         strict=strict,
         comparison=comparison,
         classification=classification,
-        strong_value=strong_value,
+        strong_value=Fraction(strong),
         strong_comparison=strong_comparison,
         strong_classification=strong_classification,
         coefficient_ratio=ratio,

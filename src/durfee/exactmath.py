@@ -2,10 +2,14 @@
 
 Everything downstream (invariants, bound coefficients, verdicts) reduces to
 integer arithmetic on binomial coefficients, factorials, Stirling numbers of
-the second kind and weak compositions.  Python integers are arbitrary
-precision and fractions.Fraction keeps rationals in lowest terms with a
-positive denominator, so nothing here can overflow or round, and
-unlimited_int_str() lets any of them be written out in full.
+the second kind, weak compositions and truncated products of integer
+polynomials.  A sum over the weak compositions of m into r parts of a
+product of per-part weights is the x^m coefficient of a product of one
+weight list per part, so product_coefficients() gets it in O(r m^2)
+operations where an enumeration walks C(m+r-1, m) compositions.  Python
+integers are arbitrary precision and fractions.Fraction keeps rationals in
+lowest terms with a positive denominator, so nothing here can overflow or
+round, and unlimited_int_str() lets any of them be written out in full.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 Composition = tuple[int, ...]
 
@@ -82,9 +87,10 @@ def compositions(n: int, r: int) -> Iterator[Composition]:
     """Yield all weak compositions of n into r ordered parts, lexicographically.
 
     There are C(n+r-1, n) of them.  Lazy because the verifier walks many
-    composition sets and almost never needs one materialized.  r = 0 is
-    allowed (the empty composition exists exactly when n = 0); the sum
-    recursions rely on that convention.
+    composition sets and almost never needs one materialized.  The walk is
+    iterative: the next composition moves one unit from the last non-zero
+    part to the part before it and the rest of that part to the last part.
+    r = 0 is allowed: the empty composition exists exactly when n = 0.
     """
     if n < 0 or r < 0:
         raise ValueError("compositions expects non-negative arguments")
@@ -92,9 +98,36 @@ def compositions(n: int, r: int) -> Iterator[Composition]:
         if n == 0:
             yield ()
         return
-    if r == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in compositions(n - head, r - 1):
-            yield (head,) + tail
+    # each tuple is copied from a list of known length: a tuple built from
+    # an iterator is resized while it grows, and such tuples, once freed,
+    # pile up on the interpreter's tuple free list (seen as peak RSS)
+    parts = [0] * (r - 1) + [n]
+    while True:
+        yield tuple(parts)
+        j = r - 1
+        while j and not parts[j]:
+            j -= 1
+        if not j:
+            return
+        rest = parts[j] - 1
+        parts[j - 1] += 1
+        parts[j] = 0
+        parts[-1] = rest
+
+
+def product_coefficients(factors: Iterable[Sequence[int]], m: int) -> list[int]:
+    """Coefficients 0..m of the product of integer coefficient lists, truncated at x^m.
+
+    factors are the coefficient lists of polynomials (or truncated series),
+    constant term first; entries past x^m are ignored and missing ones are
+    0.  The coefficient of x^k is the sum over weak compositions of k of the
+    products of one coefficient per factor, so an empty product is 1.
+    Costs O(r m^2) integer operations for r factors.
+    """
+    if m < 0:
+        raise ValueError("expected m >= 0")
+    acc = [1] + [0] * m
+    for f in factors:
+        # map stops at the shorter list, which drops f past x^k and pads it
+        acc = [sum(map(mul, acc[k::-1], f)) for k in range(m + 1)]
+    return acc

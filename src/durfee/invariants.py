@@ -6,7 +6,8 @@ and n is the dimension of the singularity.  Both invariants admit several
 genuinely different exact computations:
 
   * the Milnor number from an alternating sum of composition products of
-    (p_i - 1) powers, or from the x^n coefficient of the rational function
+    (p_i - 1) powers, which is one coefficient of a product of truncated
+    geometric series, or from the x^n coefficient of the rational function
     (1+x)^N / prod_i (1 + p_i x), which carries the Euler characteristic of
     the Milnor fiber;
   * the geometric genus from a composition sum of binomials, from an
@@ -25,13 +26,20 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import getitem
 from typing import Callable, Sequence
 
-from .bounds import power_composition_sum
-from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
+from .exactmath import (
+    CrossCheckError,
+    binomial,
+    compositions,
+    product_coefficients,
+    unlimited_int_str,
+)
 from .series import poly
 
 MILNOR_METHODS = ("closed_sum", "series")
@@ -87,10 +95,15 @@ class DegreeSpec:
 
 
 def _milnor_closed_sum(spec: DegreeSpec) -> int:
+    """P sum_j (-1)^j h_(n-j)(p - 1) - (-1)^n, with h the complete symmetric sum.
+
+    The alternating sum is [x^n] prod_i sum_k (p_i - 1)^k x^k * sum_k (-x)^k,
+    one truncated product.
+    """
     n = spec.n
-    alternating = sum(
-        (-1) ** j * power_composition_sum(n - j, spec.degrees) for j in range(n + 1)
-    )
+    factors = [[(p - 1) ** k for k in range(n + 1)] for p in spec.degrees]
+    factors.append([(-1) ** k for k in range(n + 1)])
+    alternating = product_coefficients(factors, n)[-1]
     return spec.degree_product * alternating - (-1) ** n
 
 
@@ -127,9 +140,11 @@ def milnor_fiber_euler(spec: DegreeSpec) -> int:
 
 
 def _genus_compositions(spec: DegreeSpec) -> int:
+    # a walk over the compositions on purpose: the kernel form of this sum is
+    # the genus route of the benchmark's independent reference
+    tables = [[binomial(p, k + 1) for k in range(spec.n + 1)] for p in spec.degrees]
     return sum(
-        prod(binomial(p, k + 1) for p, k in zip(spec.degrees, comp))
-        for comp in compositions(spec.n, spec.r)
+        prod(map(getitem, tables, comp)) for comp in compositions(spec.n, spec.r)
     )
 
 
@@ -156,6 +171,11 @@ def _genus_series(spec: DegreeSpec) -> int:
     target = sum(spec.degrees) - spec.ambient_dim
     if target < 0:
         return 0
+    if target > sys.maxsize:
+        raise ValueError(
+            f"the dense z-series genus route (series_coeff) needs order {target}, "
+            "past the largest list index"
+        )
     num = poly([1], target)
     for p in spec.degrees:
         num = num * poly([1] + [0] * (p - 1) + [-1], target)

@@ -1,6 +1,7 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -23,7 +24,7 @@ from durfee import (
     stirling_growth_inequality,
 )
 
-from _oracles import factorial_sum_brute
+from _oracles import factorial_sum_brute, tuples_with_sum
 
 
 class TestFactorialSum:
@@ -183,6 +184,40 @@ class TestProductBounds:
         assert falling_composition_sum(1, ()) == 0
         # parts longer than p - 1 die inside the falling factorial
         assert falling_composition_sum(3, (2,)) == 0
+
+    def test_composition_sums_match_brute_enumeration(self):
+        # m = 0..10, r = 0..6 where the tuple scan stays small; degrees 1..6,
+        # so 0^0 = 1 and parts longer than p - 1 both occur
+        rng = random.Random(17)
+        for m in range(11):
+            for r in range(7):
+                if (m + 1) ** r > 5000:
+                    continue
+                degrees = tuple(rng.randint(1, 6) for _ in range(r))
+                comps = list(tuples_with_sum(m, r))
+                power = sum(
+                    prod((p - 1) ** k for p, k in zip(degrees, t)) for t in comps
+                )
+                falling = sum(
+                    prod(prod(p - 1 - i for i in range(k)) for p, k in zip(degrees, t))
+                    for t in comps
+                )
+                assert power_composition_sum(m, degrees) == power, (m, degrees)
+                assert falling_composition_sum(m, degrees) == falling, (m, degrees)
+
+    def test_composition_sum_conventions(self):
+        # a degree 1 weighs 0^0 = 1 at k = 0 and 0 beyond
+        assert power_composition_sum(0, (1,)) == 1
+        assert power_composition_sum(3, (1,)) == 0
+        assert power_composition_sum(3, (1, 3)) == 8
+        assert falling_composition_sum(0, (1,)) == 1
+        assert falling_composition_sum(2, (1, 4)) == 6
+        # an empty degree list: 1 at m = 0, else 0
+        for fn in (power_composition_sum, falling_composition_sum):
+            assert fn(0, ()) == 1
+            assert [fn(m, ()) for m in range(1, 5)] == [0] * 4
+        # parts longer than p - 1 weigh 0: (0,2) gives 2, (1,1) gives 2
+        assert falling_composition_sum(2, (2, 3)) == 4
 
     def test_composition_sum_range(self):
         with pytest.raises(ValueError):

@@ -381,6 +381,31 @@ class TestExitCodes:
         assert code == 3
         assert "internal cross-check failure: boom" in err
 
+    def test_degree_past_the_dense_series_index_exits_2(self, capsys):
+        # the z-series genus route would need a list of about 10^300 entries;
+        # checked in a fresh process, so a traceback would show on its stderr
+        degrees = f"{10**300},7"
+        src = str(Path(durfee.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from durfee.cli import main; "
+            "sys.exit(main(sys.argv[2:]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code, src, "invariants", "--n", "2",
+             "--degrees", degrees],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("error: the dense z-series genus route (series_coeff)")
+        assert f"order {10**300 + 3}" in done.stderr
+        # verify does not take that route and still reports
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--degrees", degrees)
+        assert code == 0, err
+        assert "new-conjecture-holds" in out
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

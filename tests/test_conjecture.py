@@ -28,6 +28,7 @@ from durfee.conjecture import (
     STRONG_VIOLATED,
     VERIFY_PG_METHODS,
     _compare,
+    judge,
 )
 
 
@@ -113,6 +114,71 @@ class TestVerify:
         assert _compare(6, Fraction(6)) == "="
         assert _compare(5, Fraction(6)) == "<"
         assert _compare(7, Fraction(6)) == ">"
+
+
+class TestJudgeBoundaries:
+    # judge() is called directly, with mu placed on each bound and one off it
+    SIGNS = {-1: "<", 0: "=", 1: ">"}
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_limit_coefficient_of_surfaces(self, k, delta):
+        # C(2, 2) = 36/7 is not an integer; pg = 7k puts C * pg at 36k
+        pg = 7 * k
+        v = judge(DegreeSpec(2, (3, 3)), 36 * k + delta, pg)
+        assert v.coefficient_ratio == Fraction(36, 7)
+        assert v.coefficient_comparison == self.SIGNS[delta]
+        assert v.coefficient_ratio * v.pg == 36 * k
+        # the applicable surface bound 4 is strict and far below here
+        assert v.bound_coefficient == 4 and v.strict
+        assert v.classification == CONJECTURE_HOLDS
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_strong_coefficient(self, delta):
+        pg = 7
+        v = judge(DegreeSpec(2, (3, 3)), 6 * pg + delta, pg)
+        assert v.strong_value == 42
+        assert v.strong_comparison == self.SIGNS[delta]
+        assert v.strong_classification == (
+            STRONG_VIOLATED if delta < 0 else STRONG_HOLDS
+        )
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_non_strict_limit_coefficient_above_surfaces(self, delta):
+        # C(3, 3) = 40/3 is the applicable bound for threefolds, not strict
+        pg = 3 * 4
+        v = judge(DegreeSpec(3, (2, 2, 2)), 40 * 4 + delta, pg)
+        assert v.bound_coefficient == Fraction(40, 3) and not v.strict
+        assert v.bound_value == 160
+        assert v.comparison == v.coefficient_comparison == self.SIGNS[delta]
+        assert v.classification == (
+            CONJECTURE_VIOLATED if delta < 0 else CONJECTURE_HOLDS
+        )
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_strict_surface_bound(self, delta):
+        pg = 5
+        v = judge(DegreeSpec(2, (3, 3)), 4 * pg + delta, pg)
+        assert v.comparison == self.SIGNS[delta]
+        assert v.classification == (
+            CONJECTURE_HOLDS if delta > 0 else CONJECTURE_VIOLATED
+        )
+
+    def test_reported_values_stay_fractions(self):
+        for spec in (DegreeSpec(1, (3,)), DegreeSpec(2, (3,)), DegreeSpec(2, (3, 3)),
+                     DegreeSpec(3, (2, 2, 2))):
+            v = judge(spec, 100, 7)
+            for name in ("strong_value", "bound_value", "bound_coefficient",
+                         "coefficient_ratio"):
+                assert type(getattr(v, name)) is Fraction, (spec, name)
+
+    def test_bound_coefficient_memo_is_not_a_wrapper(self):
+        import durfee.bounds as bounds
+
+        assert not hasattr(bounds.bound_coefficient, "__wrapped__")
+        assert bounds.bound_coefficient(3, 3) is bounds.bound_coefficient(3, 3)
+        with pytest.raises(ValueError):
+            bounds.bound_coefficient(0, 3)
 
 
 class TestIdentities:

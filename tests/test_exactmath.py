@@ -1,3 +1,6 @@
+import random
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,10 +9,22 @@ from durfee.exactmath import (
     binomial,
     compositions,
     falling_factorial,
+    product_coefficients,
     stirling2,
 )
 
-from _oracles import pascal, partitions_into_blocks, stirling_recurrence_table
+from _oracles import (
+    pascal,
+    partitions_into_blocks,
+    stirling_recurrence_table,
+    tuples_with_sum,
+)
+
+# (m, r) shapes for the brute-force kernel comparisons: m = 0..10 and
+# r = 0..6, wherever the tuple scan has at most 5,000 candidates
+KERNEL_SHAPES = [
+    (m, r) for m in range(11) for r in range(7) if (m + 1) ** r <= 5000
+]
 
 
 def test_binomial_matches_pascal_triangle():
@@ -121,3 +136,42 @@ def test_compositions_rejects_negative():
         list(compositions(-1, 2))
     with pytest.raises(ValueError):
         list(compositions(2, -1))
+
+
+def _brute_coefficient(factors, k):
+    # sum over weak compositions of k of one coefficient per factor; a
+    # coefficient past the end of its list is 0
+    return sum(
+        prod(f[i] if i < len(f) else 0 for f, i in zip(factors, t))
+        for t in tuples_with_sum(k, len(factors))
+    )
+
+
+def test_product_coefficients_match_brute_enumeration():
+    rng = random.Random(9)
+    for m, r in KERNEL_SHAPES:
+        # lists shorter and longer than m + 1, with signs and zeros
+        factors = [
+            [rng.randint(-4, 4) for _ in range(rng.randint(1, m + 3))]
+            for _ in range(r)
+        ]
+        got = product_coefficients(factors, m)
+        assert got == [_brute_coefficient(factors, k) for k in range(m + 1)], factors
+
+
+def test_product_coefficients_conventions():
+    # the empty product is 1
+    assert product_coefficients([], 0) == [1]
+    assert product_coefficients([], 3) == [1, 0, 0, 0]
+    # truncation at x^m and zero padding of short lists
+    assert product_coefficients([[1, 1], [1, 1]], 1) == [1, 2]
+    assert product_coefficients([[1, 1], [1, 1]], 3) == [1, 2, 1, 0]
+    # (1 - x) * (1 + x + x^2 + ...) = 1
+    assert product_coefficients([[1, -1], [1] * 6], 5) == [1, 0, 0, 0, 0, 0]
+    with pytest.raises(ValueError):
+        product_coefficients([[1]], -1)
+
+
+def test_product_coefficients_accept_any_iterable_of_lists():
+    factors = [(2, 3), [5, 7]]
+    assert product_coefficients(iter(factors), 2) == [10, 29, 21]

@@ -10,6 +10,7 @@ from durfee import (
     MILNOR_METHODS,
     SmoothGermError,
     binomial,
+    compositions,
     equal_degree_genus,
     geometric_genus,
     invariant_report,
@@ -167,6 +168,54 @@ class TestIntegerSeriesRoute:
             spec = DegreeSpec(n, degrees)
             assert milnor_number(spec, "series") == _mu_from_euler_oracle(n, degrees)
             assert milnor_fiber_euler(spec) == euler_brute(n, degrees)
+
+
+class TestClosedSumRoute:
+    # n = 1..10 with r as large as milnor_brute's tuple scan allows, seeded
+    SHAPES = [
+        (n, tuple(random.Random(31 * n + r).choices(range(2, 10), k=r)))
+        for n in range(1, 11)
+        for r in range(1, 7)
+        if (n + 1) ** r <= 5000
+    ]
+
+    def test_matches_brute_oracle(self):
+        for n, degrees in self.SHAPES:
+            spec = DegreeSpec(n, degrees)
+            assert milnor_number(spec, "closed_sum") == milnor_brute(n, degrees)
+
+    def test_enumerates_no_compositions(self, monkeypatch):
+        # closed_sum is one product of truncated series, while the genus
+        # compositions route walks the C(n+r-1, n) compositions; this pins
+        # that split
+        import durfee.bounds as bounds
+        import durfee.invariants as invariants
+
+        def refuse(n, r):
+            raise AssertionError("closed_sum enumerated compositions")
+
+        monkeypatch.setattr(invariants, "compositions", refuse)
+        monkeypatch.setattr(bounds, "compositions", refuse)
+        for n, degrees in self.SHAPES:
+            spec = DegreeSpec(n, degrees)
+            assert milnor_number(spec, "closed_sum") == milnor_brute(n, degrees)
+
+    def test_genus_compositions_walks_every_composition(self, monkeypatch):
+        import durfee.invariants as invariants
+
+        walked = []
+
+        def counted(n, r):
+            for comp in compositions(n, r):
+                walked.append(comp)
+                yield comp
+
+        monkeypatch.setattr(invariants, "compositions", counted)
+        for n, degrees in self.SHAPES:
+            walked.clear()
+            spec = DegreeSpec(n, degrees)
+            assert geometric_genus(spec, "compositions") == genus_brute(n, degrees)
+            assert len(walked) == binomial(n + spec.r - 1, n)
 
 
 class TestGenus:
