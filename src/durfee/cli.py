@@ -11,9 +11,7 @@ across repeated runs and across --jobs counts.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,21 +92,17 @@ def _degrees_cell(degrees: Sequence[int]) -> str:
 
 
 def render_table(doc: ReportDocument) -> str:
-    header = list(doc.columns)
     body = [[str(row[c]) for c in doc.columns] for row in doc.rows]
-    widths = [len(h) for h in header]
-    for line in body:
-        for i, cell in enumerate(line):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(doc.columns, *body)]
     out = doc.meta_lines()
-    out.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for line in body:
-        out.append("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
+    out += ["  ".join(map(str.ljust, line, widths)).rstrip() for line in [doc.columns, *body]]
     out += doc.note_lines()
     return "\n".join(out) + "\n"
 
 
 def render_csv(doc: ReportDocument) -> str:
+    import csv  # only this format needs it, so the table path never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(doc.columns)
@@ -118,6 +112,8 @@ def render_csv(doc: ReportDocument) -> str:
 
 
 def render_json_lines(doc: ReportDocument) -> str:
+    import json  # only this format needs it, so the table path never loads it
+
     lines = [
         json.dumps({c: row[c] for c in doc.columns}, separators=(",", ":"), default=str)
         for row in doc.rows

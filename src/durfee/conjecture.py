@@ -17,8 +17,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import factorial
-from typing import Iterator, Optional, Sequence
+from math import comb, factorial
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bounds import balanced_min_product, bound_coefficient, min_product_bound
 from .exactmath import falling_factorial
@@ -42,6 +42,9 @@ SEARCH_MODES = ("equal_degrees", "full_grid")
 # The genus routes verify() cross-checks: the distinct ones that are not
 # dense in the degrees, unlike series_coeff.
 VERIFY_PG_METHODS = ("compositions", "inclusion_exclusion")
+
+# the fixed coefficients of judge(), built once
+_TWO, _FOUR, _SIX = Fraction(2), Fraction(4), Fraction(6)
 
 
 def _compare(lhs: int, rhs: int) -> str:
@@ -142,7 +145,7 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
     coefficient_comparison = _compare(mu * ratio.denominator, ratio.numerator * pg)
 
     if n == 1:
-        coeff = Fraction(2)
+        coeff = _TWO
         strict = False
         holds = mu + spec.degree_product - 1 == 2 * pg
         name = "curve-identity"
@@ -151,7 +154,7 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
     else:
         name = "new-conjecture"
         if n == 2:
-            coeff, strict = (Fraction(6), False) if r == 1 else (Fraction(4), True)
+            coeff, strict = (_SIX, False) if r == 1 else (_FOUR, True)
             comparison = _compare(mu, coeff.numerator * pg)
         else:
             coeff, strict = ratio, False
@@ -165,7 +168,7 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
         pg=pg,
         bound_name=name,
         bound_coefficient=coeff,
-        bound_value=coeff * pg,
+        bound_value=Fraction(coeff.numerator * pg, coeff.denominator),
         strict=strict,
         comparison=comparison,
         classification=classification,
@@ -269,6 +272,16 @@ def _violation_kinds(verdict: VerdictReport) -> tuple[str, ...]:
     return tuple(kinds)
 
 
+def _violations(verdicts: Iterable[VerdictReport]) -> list[Violation]:
+    """The verdicts that violate a bound, in the order given; the rest are dropped."""
+    violations = []
+    for verdict in verdicts:
+        kinds = _violation_kinds(verdict)
+        if kinds:
+            violations.append(Violation(verdict=verdict, kinds=kinds))
+    return violations
+
+
 def _sort_key(violation: Violation):
     degrees = violation.verdict.spec.degrees
     return (sum(degrees), degrees)
@@ -300,24 +313,21 @@ def search(
         raise ValueError("jobs must be >= 1")
 
     if mode == "equal_degrees":
-        specs = [DegreeSpec(n, (p,) * r) for p in range(p_min, p_max + 1)]
+        scanned = p_max - p_min + 1
+        specs = (DegreeSpec(n, (p,) * r) for p in range(p_min, p_max + 1))
     else:
-        specs = [DegreeSpec(n, degrees) for degrees in degree_grid(r, p_min, p_max)]
+        scanned = comb(p_max - p_min + r, r)
+        specs = (DegreeSpec(n, degrees) for degrees in degree_grid(r, p_min, p_max))
 
-    workers = min(jobs, os.cpu_count() or 1, len(specs))
+    workers = min(jobs, os.cpu_count() or 1, scanned)
     if workers == 1:
-        verdicts = [verify(s) for s in specs]
+        violations = _violations(map(verify, specs))
     else:
         from concurrent.futures import ProcessPoolExecutor  # heavy, so only here
-        chunk = max(1, len(specs) // (4 * workers))
+        chunk = max(1, scanned // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(verify, specs, chunksize=chunk))
+            violations = _violations(pool.map(verify, specs, chunksize=chunk))
 
-    violations = []
-    for verdict in verdicts:
-        kinds = _violation_kinds(verdict)
-        if kinds:
-            violations.append(Violation(verdict=verdict, kinds=kinds))
     violations.sort(key=_sort_key)
     return SearchResult(
         n=n,
@@ -325,7 +335,7 @@ def search(
         p_min=p_min,
         p_max=p_max,
         mode=mode,
-        scanned=len(specs),
+        scanned=scanned,
         violations=tuple(violations),
         minimal=violations[0] if violations else None,
     )

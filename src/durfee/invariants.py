@@ -5,14 +5,14 @@ of r generic hypersurfaces of degrees p_1..p_r in P^(N-1), where N = n + r
 and n is the dimension of the singularity.  Both invariants admit several
 genuinely different exact computations:
 
-  * the Milnor number from an alternating sum of composition products of
-    (p_i - 1) powers, which is one coefficient of a product of truncated
-    geometric series, or from the x^n coefficient of the rational function
-    (1+x)^N / prod_i (1 + p_i x), which carries the Euler characteristic of
-    the Milnor fiber;
+  * the Milnor number from an alternating sum of the complete symmetric
+    sums h_k(p - 1), built in place in one O(r n) pass over
+    prod_i 1 / (1 - (p_i - 1) x), or from the x^n coefficient of the
+    rational function (1+x)^N / prod_i (1 + p_i x), which carries the Euler
+    characteristic of the Milnor fiber;
   * the geometric genus from a composition sum of binomials, from an
-    inclusion-exclusion count of lattice points, from a z-series
-    coefficient of prod_i (1 - z^(p_i)) / (1-z)^(N+1).
+    inclusion-exclusion count of lattice points keyed by signed subset sum,
+    from a z-series coefficient of prod_i (1 - z^(p_i)) / (1-z)^(N+1).
 
 Each route is implemented independently so any one can certify another;
 agreed_value() runs a set of routes and raises CrossCheckError on any
@@ -33,13 +33,7 @@ from math import comb, factorial, prod
 from operator import getitem
 from typing import Callable, Sequence
 
-from .exactmath import (
-    CrossCheckError,
-    binomial,
-    compositions,
-    product_coefficients,
-    unlimited_int_str,
-)
+from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
 from .series import poly
 
 MILNOR_METHODS = ("closed_sum", "series")
@@ -97,13 +91,17 @@ class DegreeSpec:
 def _milnor_closed_sum(spec: DegreeSpec) -> int:
     """P sum_j (-1)^j h_(n-j)(p - 1) - (-1)^n, with h the complete symmetric sum.
 
-    The alternating sum is [x^n] prod_i sum_k (p_i - 1)^k x^k * sum_k (-x)^k,
-    one truncated product.
+    h_k(p - 1) is [x^k] prod_i 1 / (1 - (p_i - 1) x); each factor multiplies
+    in place on integers, so the whole sum is O(r n).
     """
     n = spec.n
-    factors = [[(p - 1) ** k for k in range(n + 1)] for p in spec.degrees]
-    factors.append([(-1) ** k for k in range(n + 1)])
-    alternating = product_coefficients(factors, n)[-1]
+    h = [1] + [0] * n
+    for p in spec.degrees:
+        for k in range(1, n + 1):
+            h[k] += (p - 1) * h[k - 1]
+    alternating = 0
+    for c in h:
+        alternating = c - alternating
     return spec.degree_product * alternating - (-1) ** n
 
 
@@ -142,7 +140,7 @@ def milnor_fiber_euler(spec: DegreeSpec) -> int:
 def _genus_compositions(spec: DegreeSpec) -> int:
     # a walk over the compositions on purpose: the kernel form of this sum is
     # the genus route of the benchmark's independent reference
-    tables = [[binomial(p, k + 1) for k in range(spec.n + 1)] for p in spec.degrees]
+    tables = [[comb(p, k + 1) for k in range(spec.n + 1)] for p in spec.degrees]
     return sum(
         prod(map(getitem, tables, comp)) for comp in compositions(spec.n, spec.r)
     )
@@ -151,19 +149,21 @@ def _genus_compositions(spec: DegreeSpec) -> int:
 def _genus_inclusion_exclusion(spec: DegreeSpec) -> int:
     # signed count of monomials of degree sum(p) - N in N variables, with
     # exponents capped by inclusion-exclusion over the degrees; a subset's
-    # term depends only on its (size, sum), so subsets are counted by those
-    counts = {(0, 0): 1}
+    # term depends only on its sum and the sign of its size, so subsets are
+    # counted by sum with the sign carried in the count, and subsets that
+    # cancel cost no binomial
+    counts = {0: 1}
     for p in spec.degrees:
         grown = dict(counts)
-        for (size, subset_sum), count in counts.items():
-            key = (size + 1, subset_sum + p)
-            grown[key] = grown.get(key, 0) + count
+        for subset_sum, count in counts.items():
+            grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
         counts = grown
     N = spec.ambient_dim
     total_degree = sum(spec.degrees)
     return sum(
-        (-1) ** size * count * binomial(total_degree - subset_sum, N)
-        for (size, subset_sum), count in counts.items()
+        count * binomial(total_degree - subset_sum, N)
+        for subset_sum, count in counts.items()
+        if count
     )
 
 

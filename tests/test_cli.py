@@ -72,6 +72,33 @@ class TestRendering:
         assert lines[-3].split() == ["1", "x/y"]
         assert lines[-1] == "# note: first note"
 
+    def test_table_literal(self):
+        # a cell wider than its header widens the column; the last column
+        # is padded like the others and then stripped
+        doc = ReportDocument(
+            command="sample",
+            params={},
+            columns=("a", "bb", "c"),
+            rows=[{"a": 12345, "bb": "x", "c": "y"}, {"a": 1, "bb": "long", "c": ""}],
+            notes=["n"],
+        )
+        assert render_table(doc) == (
+            f"# command: sample\n# version: {durfee.__version__}\n"
+            "a      bb    c\n"
+            "12345  x     y\n"
+            "1      long\n"
+            "# note: n\n"
+        )
+
+    def test_table_without_rows_is_header_only(self):
+        doc = ReportDocument(
+            command="empty", params={"k": "v"}, columns=("first", "second"), rows=[]
+        )
+        assert render_table(doc) == (
+            f"# command: empty\n# version: {durfee.__version__}\n# k: v\n"
+            "first  second\n"
+        )
+
     def test_version_header_is_the_package_version(self):
         assert f"# version: {durfee.__version__}" in render_table(SAMPLE).splitlines()
 
@@ -422,17 +449,25 @@ class TestSelftestCommand:
 
 
 class TestImportCost:
-    def test_cli_import_loads_no_process_pool(self):
-        # the pool machinery is imported only when search starts workers
+    @staticmethod
+    def loaded_after_cli_import(names):
         src = str(Path(durfee.__file__).resolve().parents[1])
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import durfee.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
-            " & set(sys.modules)))"
+            f"print(sorted({set(names)!r} & set(sys.modules)))"
         )
         done = subprocess.run(
             [sys.executable, "-I", "-c", code, src],
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        return done.stdout
+
+    def test_cli_import_loads_no_process_pool(self):
+        # the pool machinery is imported only when search starts workers
+        names = {"multiprocessing", "concurrent.futures.process"}
+        assert self.loaded_after_cli_import(names) == "[]\n"
+
+    def test_cli_import_loads_no_csv_or_json(self):
+        # only the csv and json-lines renderers import them
+        assert self.loaded_after_cli_import({"csv", "json"}) == "[]\n"

@@ -8,6 +8,7 @@ from durfee import (
     MILNOR_METHODS,
     CrossCheckError,
     DegreeSpec,
+    binomial,
     curve_identity,
     degree_grid,
     geometric_genus,
@@ -346,6 +347,39 @@ class TestSearch:
         assert pools == ([] if workers is None else [workers])
         monkeypatch.undo()
         assert result == search(2, 2, 2, 1 + specs)
+
+    @pytest.mark.parametrize("n, r, p_min, p_max", [(2, 2, 2, 9), (1, 3, 3, 7), (3, 4, 2, 4)])
+    def test_scanned_counts_the_grid(self, n, r, p_min, p_max):
+        span = p_max - p_min + 1
+        assert search(n, r, p_min, p_max, mode="full_grid").scanned == binomial(span + r - 1, r)
+        assert search(n, r, p_min, p_max).scanned == span
+
+    @pytest.mark.parametrize("mode", ["full_grid", "equal_degrees"])
+    def test_one_worker_streams_each_spec_once_in_grid_order(self, monkeypatch, mode):
+        # each spec is built, verified and dropped before the next is built
+        import durfee.conjecture as conjecture
+
+        events = []
+
+        def built(n, degrees):
+            events.append(("spec", tuple(degrees)))
+            return DegreeSpec(n, degrees)
+
+        def verified(spec):
+            events.append(("verify", spec.degrees))
+            return verify(spec)
+
+        monkeypatch.setattr(conjecture, "DegreeSpec", built)
+        monkeypatch.setattr(conjecture, "verify", verified)
+        result = search(2, 3, 2, 5, mode=mode)
+        if mode == "full_grid":
+            grid = list(degree_grid(3, 2, 5))
+        else:
+            grid = [(p,) * 3 for p in range(2, 6)]
+        assert events == [(kind, d) for d in grid for kind in ("spec", "verify")]
+        assert result.scanned == len(grid)
+        monkeypatch.undo()
+        assert result == search(2, 3, 2, 5, mode=mode)
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):

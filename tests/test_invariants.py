@@ -200,6 +200,32 @@ class TestClosedSumRoute:
             spec = DegreeSpec(n, degrees)
             assert milnor_number(spec, "closed_sum") == milnor_brute(n, degrees)
 
+    def test_matches_brute_oracle_deep(self):
+        # every n = 1..10 and r = 1..6 once, seeded, and two huge degrees
+        for n in range(1, 11):
+            for r in range(1, 7):
+                degrees = tuple(random.Random(53 * n + r).choices(range(2, 10), k=r))
+                spec = DegreeSpec(n, degrees)
+                assert milnor_number(spec, "closed_sum") == milnor_brute(n, degrees)
+            huge = (10**40, 10**60 + 7)
+            assert milnor_number(DegreeSpec(n, huge), "closed_sum") == milnor_brute(n, huge)
+
+    def test_convolves_nothing(self, monkeypatch):
+        # closed_sum multiplies the geometric series in place, so the
+        # O(r n^2) coefficient kernel is never reached
+        import durfee.bounds as bounds
+        import durfee.exactmath as exactmath
+        import durfee.invariants as invariants
+
+        def refuse(factors, m):
+            raise AssertionError("closed_sum called product_coefficients")
+
+        for module in (exactmath, bounds, invariants):
+            monkeypatch.setattr(module, "product_coefficients", refuse, raising=False)
+        for n, degrees in self.SHAPES:
+            spec = DegreeSpec(n, degrees)
+            assert milnor_number(spec, "closed_sum") == milnor_brute(n, degrees)
+
     def test_genus_compositions_walks_every_composition(self, monkeypatch):
         import durfee.invariants as invariants
 
@@ -271,6 +297,25 @@ class TestGenus:
         assert len(calls) <= 21
         monkeypatch.undo()
         assert value == geometric_genus(spec, "compositions")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inclusion_exclusion_cancels_equal_sums(self, monkeypatch, n):
+        # for degrees (2, 2, 4) the subsets {2, 2} and {4} have equal sums and
+        # opposite signs, so their terms cancel before any binomial is taken:
+        # 4 calls, where counting subsets by (size, sum) made 6
+        import durfee.invariants as invariants
+
+        calls = []
+
+        def counted(m, k):
+            calls.append((m, k))
+            return binomial(m, k)
+
+        monkeypatch.setattr(invariants, "binomial", counted)
+        value = geometric_genus(DegreeSpec(n, (2, 2, 4)), "inclusion_exclusion")
+        assert len(calls) == 4
+        assert sorted(m for m, _ in calls) == [0, 2, 6, 8]
+        assert value == genus_series_brute((2, 2, 4), n)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
