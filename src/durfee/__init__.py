@@ -15,14 +15,12 @@ from .exactmath import (
     falling_factorial,
     stirling2,
 )
-from .series import TruncatedSeries, exp_series, poly
 from .invariants import (
     GENUS_METHODS,
     MILNOR_METHODS,
     DegreeSpec,
     InvariantReport,
     SmoothGermError,
-    equal_degree_genus,
     geometric_genus,
     invariant_report,
     milnor_fiber_euler,
@@ -30,7 +28,6 @@ from .invariants import (
 )
 from .bounds import (
     BoundCoefficient,
-    asymptotic_ratio,
     balanced_min_product,
     bound_coefficient,
     composition_factorial_sum,
@@ -67,21 +64,16 @@ __all__ = [
     "compositions",
     "falling_factorial",
     "stirling2",
-    "TruncatedSeries",
-    "exp_series",
-    "poly",
     "GENUS_METHODS",
     "MILNOR_METHODS",
     "DegreeSpec",
     "InvariantReport",
     "SmoothGermError",
-    "equal_degree_genus",
     "geometric_genus",
     "invariant_report",
     "milnor_fiber_euler",
     "milnor_number",
     "BoundCoefficient",
-    "asymptotic_ratio",
     "balanced_min_product",
     "bound_coefficient",
     "composition_factorial_sum",

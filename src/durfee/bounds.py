@@ -15,14 +15,15 @@ fixed n the sequence is non-increasing in r and approaches 2^n from above.
 The monotonicity certificate lives here too: a growth inequality between
 neighbouring Stirling numbers, itself certified by coefficientwise
 dominance of exponential generating functions ((e^x - 1) dominates
-x e^(x/2), and (e^x - 1)^2 dominates x^2 e^x).
+x e^(x/2), and (e^x - 1)^2 dominates x^2 e^x).  Every coefficient involved
+is an integer once scaled by a factorial, so every certificate runs on ints.
 
 The module also carries the two auxiliary composition sums used to compare
 mu against p_g termwise: a power sum prod (p_i - 1)^(k_i) on the mu side
 and a falling-factorial sum prod (p_i-1)(p_i-2)..(p_i-k_i) on the genus
-side, together with their recursion and comparison checks.  Both sums are
-coefficients of a product of one weight list per degree, computed by
-exactmath.product_coefficients without enumerating compositions.
+side, together with their recursion and comparison checks.  Like S(n, r),
+both are coefficients of a product of one weight list per part, computed
+by exactmath.product_coefficients without enumerating compositions.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .exactmath import (
     product_coefficients,
     stirling2,
 )
-from .series import TruncatedSeries, exp_series, one, poly
 
 
 def composition_factorial_sum(n: int, r: int) -> Fraction:
@@ -48,12 +48,14 @@ def composition_factorial_sum(n: int, r: int) -> Fraction:
     Evaluated as the x^n coefficient of ((e^x - 1)/x)^r, which is the same
     sum reorganized as an r-fold convolution; literal enumeration has
     C(n+r-1, n) terms and is hopeless already around n + r = 30.  The
-    Stirling closed form below is the independent route.
+    weights 1/(k+1)! run as the integers (n+1)!/(k+1)!, so the coefficient
+    is divided by ((n+1)!)^r.  The Stirling closed form is the independent route.
     """
     if n < 0 or r < 0:
         raise ValueError("expected n >= 0 and r >= 0")
-    base = TruncatedSeries([Fraction(1, factorial(k + 1)) for k in range(n + 1)], n)
-    return (base**r).coefficient(n)
+    scale = factorial(n + 1)
+    weights = [scale // factorial(k + 1) for k in range(n + 1)]
+    return Fraction(product_coefficients([weights] * r, n)[n], scale**r)
 
 
 def stirling_factorial_sum(n: int, r: int) -> Fraction:
@@ -96,22 +98,6 @@ def bound_coefficient(n: int, r: int) -> Fraction:
             binomial(n + r - 1, n) * factorial(n + r), stirling2(n + r, r) * factorial(r)
         )
     return value
-
-
-def asymptotic_ratio(n: int, r: int) -> Fraction:
-    """Exact limit of mu / p_g along equal degrees p -> infinity.
-
-    For n = 2 and n = 3 the limit has elementary closed forms,
-    4(r+1)/(r + 1/3) and 8(r+2)/r; both coincide with C(n, r), so this is
-    one more independent route to the same rational.
-    """
-    if n < 1 or r < 1:
-        raise ValueError("expected n >= 1 and r >= 1")
-    if n == 2:
-        return Fraction(12 * (r + 1), 3 * r + 1)
-    if n == 3:
-        return Fraction(8 * (r + 2), r)
-    return bound_coefficient(n, r)
 
 
 def monotone_scan(n: int, r_max: int) -> list[BoundCoefficient]:
@@ -168,19 +154,16 @@ DOMINANCE_NR_MAX = 8
 def dominance_inequality_checks() -> bool:
     """Certify the generating-function dominances and the Stirling growth.
 
-    Checks coefficientwise, through DOMINANCE_ORDER, that e^x - 1 dominates
-    x e^(x/2) and that (e^x - 1)^2 dominates x^2 e^x, then re-derives the
-    Stirling growth inequality for all n, r <= DOMINANCE_NR_MAX by direct
-    evaluation.
+    Times k!, the x^k coefficients of e^x - 1 and x e^(x/2) are 1 and
+    k / 2^(k-1), those of (e^x - 1)^2 and x^2 e^x are 2^k - 2 and k (k-1),
+    and all are 0 at k = 0; so, through DOMINANCE_ORDER, the dominances are
+    2^(k-1) >= k and 2^k - 2 >= k (k-1).  The Stirling growth inequality is
+    then re-derived for all n, r <= DOMINANCE_NR_MAX by direct evaluation.
     """
     order, nr_max = DOMINANCE_ORDER, DOMINANCE_NR_MAX
-    e1 = exp_series(1, order) - one(order)
-    half = poly([0, 1], order) * exp_series(Fraction(1, 2), order)
-    if not e1.dominates(half):
-        return False
-    if not (e1 * e1).dominates(poly([0, 0, 1], order) * exp_series(1, order)):
-        return False
     return all(
+        2 ** (k - 1) >= k and 2**k - 2 >= k * (k - 1) for k in range(1, order + 1)
+    ) and all(
         stirling_growth_inequality(n, r)
         for n in range(1, nr_max + 1)
         for r in range(1, nr_max + 1)

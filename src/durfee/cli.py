@@ -160,10 +160,10 @@ def _parse_span(text: str) -> tuple[int, int]:
         raise ValueError(f"cannot parse range {text!r}; expected like 2..10") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str) -> Sequence[int]:
     if ".." in text:
         lo, hi = _parse_span(text)
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)  # lazy: a long range is never materialised
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:

@@ -14,9 +14,10 @@ degree product in low dimension or codimension that the verdicts rest on.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb, factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -282,6 +283,21 @@ def _violations(verdicts: Iterable[VerdictReport]) -> list[Violation]:
     return violations
 
 
+def _verify_all(specs: list[DegreeSpec]) -> list[VerdictReport]:
+    return [verify(spec) for spec in specs]
+
+
+def _pooled_verdicts(pool, specs: Iterator[DegreeSpec], chunk: int, window: int):
+    """verify() over specs on the pool, in order, with at most window tasks in flight."""
+    pending = deque()
+    for batch in iter(lambda: list(islice(specs, chunk)), []):
+        if len(pending) == window:
+            yield from pending.popleft().result()
+        pending.append(pool.submit(_verify_all, batch))
+    while pending:
+        yield from pending.popleft().result()
+
+
 def _sort_key(violation: Violation):
     degrees = violation.verdict.spec.degrees
     return (sum(degrees), degrees)
@@ -324,9 +340,10 @@ def search(
         violations = _violations(map(verify, specs))
     else:
         from concurrent.futures import ProcessPoolExecutor  # heavy, so only here
-        chunk = max(1, scanned // (4 * workers))
+        # at most 256 specs a task and two tasks a worker in flight
+        chunk = min(max(1, scanned // (4 * workers)), 256)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            violations = _violations(pool.map(verify, specs, chunksize=chunk))
+            violations = _violations(_pooled_verdicts(pool, specs, chunk, 2 * workers))
 
     violations.sort(key=_sort_key)
     return SearchResult(

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import getitem
 from typing import Callable, Sequence
 
 from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
-from .series import poly
+from .series import TruncatedSeries
 
 MILNOR_METHODS = ("closed_sum", "series")
 GENUS_METHODS = ("compositions", "inclusion_exclusion", "series_coeff")
@@ -176,10 +175,11 @@ def _genus_series(spec: DegreeSpec) -> int:
             f"the dense z-series genus route (series_coeff) needs order {target}, "
             "past the largest list index"
         )
-    num = poly([1], target)
+    num = TruncatedSeries([1], target)
     for p in spec.degrees:
-        num = num * poly([1] + [0] * (p - 1) + [-1], target)
-    c = (num * poly([1, -1], target) ** -(spec.ambient_dim + 1)).coefficient(target)
+        num = num * TruncatedSeries([1] + [0] * (p - 1) + [-1], target)
+    binomials = TruncatedSeries([1, -1], target) ** -(spec.ambient_dim + 1)
+    c = (num * binomials).coefficient(target)
     if c.denominator != 1:
         raise CrossCheckError(f"genus coefficient for {spec} is not an integer: {c}")
     return c.numerator
@@ -194,30 +194,6 @@ def geometric_genus(spec: DegreeSpec, method: str = "compositions") -> int:
     if method == "series_coeff":
         return _genus_series(spec)
     raise ValueError(f"unknown genus method {method!r}; choose from {GENUS_METHODS}")
-
-
-def equal_degree_genus(n: int, r: int, p: int) -> int:
-    """Closed form of the genus at equal degrees, for n in {1, 2, 3}.
-
-    The divisions are exact only because the closed forms are; integrality
-    is asserted, not assumed.
-    """
-    if r < 1 or p < 1:
-        raise ValueError("need r >= 1 and p >= 1")
-    lead = Fraction(r * (p - 1) * p**r, factorial(n) * 2**n)
-    if n == 1:
-        value = lead
-    elif n == 2:
-        value = lead * (r * (p - 1) + Fraction(p - 5, 3))
-    elif n == 3:
-        value = lead * (p * r - 2 - r) * (p * r - 3 + p - r)
-    else:
-        raise ValueError("closed genus form is only available for n in {1, 2, 3}")
-    if value.denominator != 1:
-        raise CrossCheckError(
-            f"equal-degree genus form gave a non-integer for n={n}, r={r}, p={p}: {value}"
-        )
-    return value.numerator
 
 
 @dataclass(frozen=True)

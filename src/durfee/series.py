@@ -1,20 +1,16 @@
 """Truncated power series with exact rational coefficients.
 
 A series is a dense coefficient list c[0..order] over Fraction; every
-operation truncates at the shared order.  Two jobs drive the design: the
-z-series coefficient behind the geometric genus (a lattice count) and
-coefficientwise dominance between exponential generating functions, which
-is how the bound-coefficient monotonicity is certified.  No floating point
-anywhere.
+operation truncates at the shared order.  The one caller is the z-series
+genus route (series_coeff): the coefficient of z^(sum(p) - N) in
+prod_i (1 - z^(p_i)) / (1 - z)^(N+1), which takes products, an inverse
+and a power.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
 
 
 class TruncatedSeries:
@@ -22,7 +18,7 @@ class TruncatedSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int):
+    def __init__(self, coeffs: Iterable[Union[int, Fraction]], order: int):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         cs = [Fraction(c) for c in coeffs][: order + 1]
@@ -41,20 +37,6 @@ class TruncatedSeries:
         if other.order != self.order:
             raise ValueError(f"truncation orders differ: {self.order} vs {other.order}")
         return other
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self.coeffs!r}, order={self.order})"
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        other = self._aligned(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         other = self._aligned(other)
@@ -87,7 +69,7 @@ class TruncatedSeries:
             raise TypeError("series powers must be integers")
         if e < 0:
             return self.inverse() ** (-e)
-        result = one(self.order)
+        result = TruncatedSeries([1], self.order)
         base = self
         while e:
             if e & 1:
@@ -96,23 +78,3 @@ class TruncatedSeries:
             if e:
                 base = base * base
         return result
-
-    def dominates(self, other: "TruncatedSeries") -> bool:
-        """True when every coefficient of self is >= the one of other."""
-        other = self._aligned(other)
-        return all(a >= b for a, b in zip(self.coeffs, other.coeffs))
-
-
-def poly(coeffs: Iterable[Scalar], order: int) -> TruncatedSeries:
-    """Series from a coefficient list; excess coefficients are truncated away."""
-    return TruncatedSeries(coeffs, order)
-
-
-def one(order: int) -> TruncatedSeries:
-    return TruncatedSeries([1], order)
-
-
-def exp_series(scale: Scalar, order: int) -> TruncatedSeries:
-    """exp(scale * x) truncated: coefficients scale^k / k!."""
-    s = Fraction(scale)
-    return TruncatedSeries([s**k / factorial(k) for k in range(order + 1)], order)

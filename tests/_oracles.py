@@ -158,3 +158,30 @@ def convolve(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]
         for j, bj in enumerate(b[: order + 1 - i]):
             out[i + j] += ai * bj
     return out
+
+
+def equal_degree_genus(n: int, r: int, p: int) -> int:
+    """Closed form of the genus at r equal degrees p, for n in {1, 2, 3}."""
+    if n not in (1, 2, 3):
+        raise ValueError("closed genus form is only available for n in {1, 2, 3}")
+    lead = Fraction(r * (p - 1) * p**r, {1: 2, 2: 8, 3: 48}[n])  # n! 2^n
+    if n == 1:
+        value = lead
+    elif n == 2:
+        value = lead * (r * (p - 1) + Fraction(p - 5, 3))
+    else:
+        value = lead * (p * r - 2 - r) * (p * r - 3 + p - r)
+    assert value.denominator == 1, (n, r, p, value)
+    return value.numerator
+
+
+def asymptotic_ratio(n: int, r: int) -> Fraction:
+    """Limit of mu / p_g along equal degrees, by the n = 2 and n = 3 closed forms.
+
+    4 (r+1) / (r + 1/3) and 8 (r+2) / r.
+    """
+    if n == 2:
+        return Fraction(12 * (r + 1), 3 * r + 1)
+    if n == 3:
+        return Fraction(8 * (r + 2), r)
+    raise ValueError("closed limit form is only available for n in {2, 3}")

@@ -8,7 +8,6 @@ import pytest
 from durfee import (
     CrossCheckError,
     BoundCoefficient,
-    asymptotic_ratio,
     balanced_min_product,
     bound_coefficient,
     composition_factorial_sum,
@@ -23,8 +22,9 @@ from durfee import (
     stirling_factorial_sum,
     stirling_growth_inequality,
 )
+from durfee.bounds import DOMINANCE_ORDER
 
-from _oracles import factorial_sum_brute, tuples_with_sum
+from _oracles import asymptotic_ratio, convolve, factorial_sum_brute, tuples_with_sum
 
 
 class TestFactorialSum:
@@ -87,8 +87,6 @@ class TestBoundCoefficient:
         for r in range(1, 13):
             assert asymptotic_ratio(2, r) == bound_coefficient(2, r)
             assert asymptotic_ratio(3, r) == bound_coefficient(3, r)
-        assert asymptotic_ratio(4, 3) == bound_coefficient(4, 3)
-        assert asymptotic_ratio(1, 5) == bound_coefficient(1, 5)
 
     def test_ratio_definition(self):
         # C(n, r) = binomial(n+r-1, n) / S(n, r), straight from the defining sum
@@ -101,11 +99,10 @@ class TestBoundCoefficient:
                 ) / composition_factorial_sum(n, r)
 
     def test_rejects_out_of_range(self):
-        for fn in (bound_coefficient, asymptotic_ratio):
-            with pytest.raises(ValueError):
-                fn(0, 1)
-            with pytest.raises(ValueError):
-                fn(1, 0)
+        with pytest.raises(ValueError):
+            bound_coefficient(0, 1)
+        with pytest.raises(ValueError):
+            bound_coefficient(1, 0)
 
     def test_floor_guard(self):
         BoundCoefficient(2, 2, Fraction(36, 7))
@@ -153,6 +150,45 @@ class TestRecursionAndDominance:
             multinomial_recursion_check(2, 0)
 
     def test_dominance_chain(self):
+        assert dominance_inequality_checks()
+
+    def test_dominance_integer_forms_match_the_series(self):
+        # k! [x^k] of e^x - 1, x e^(x/2), (e^x - 1)^2 and x^2 e^x, built as
+        # Fraction lists, are the integers dominance_inequality_checks compares
+        order = DOMINANCE_ORDER
+        exp1 = [Fraction(1, factorial(k)) for k in range(order + 1)]
+        exp_half = [Fraction(1, 2**k * factorial(k)) for k in range(order + 1)]
+        e1 = [Fraction(0)] + exp1[1:]
+        half = convolve([Fraction(0), Fraction(1)], exp_half, order)
+        e1_squared = convolve(e1, e1, order)
+        x2_exp = convolve([Fraction(0), Fraction(0), Fraction(1)], exp1, order)
+        for series in (e1, half, e1_squared, x2_exp):
+            assert series[0] == 0
+        for k in range(1, order + 1):
+            assert factorial(k) * e1[k] == 1
+            assert factorial(k) * half[k] == Fraction(k, 2 ** (k - 1))
+            assert factorial(k) * e1_squared[k] == 2**k - 2
+            assert factorial(k) * x2_exp[k] == k * (k - 1)
+
+    def test_certificates_build_no_series(self, monkeypatch):
+        from durfee.series import TruncatedSeries
+
+        expected = {
+            (total - r, r): stirling_factorial_sum(total - r, r)
+            for total in range(1, 31)
+            for r in range(1, total + 1)
+        }
+        expected[15, 15] = stirling_factorial_sum(15, 15)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate built a TruncatedSeries")
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+        for (n, r), value in expected.items():
+            assert composition_factorial_sum(n, r) == value
+        for n in range(0, 9):
+            for r in range(1, 9):
+                assert multinomial_recursion_check(n, r)
         assert dominance_inequality_checks()
 
 

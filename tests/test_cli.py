@@ -46,9 +46,15 @@ class TestParsing:
 
     def test_int_list(self):
         assert _parse_int_list("3,10,50") == (3, 10, 50)
-        assert _parse_int_list("2..5") == (2, 3, 4, 5)
+        assert tuple(_parse_int_list("2..5")) == (2, 3, 4, 5)
         with pytest.raises(ValueError):
             _parse_int_list("3,x")
+
+    def test_int_range_is_lazy(self):
+        # a range is never materialised, so a huge one parses at once
+        points = _parse_int_list("2..1000000000000")
+        assert len(points) == 999_999_999_999
+        assert points[0] == 2
 
 
 SAMPLE = ReportDocument(
@@ -471,3 +477,13 @@ class TestImportCost:
     def test_cli_import_loads_no_csv_or_json(self):
         # only the csv and json-lines renderers import them
         assert self.loaded_after_cli_import({"csv", "json"}) == "[]\n"
+
+
+class TestPackageSurface:
+    def test_all_names_resolve_once(self):
+        import durfee.bounds
+
+        assert all(hasattr(durfee, name) for name in durfee.__all__)
+        assert len(set(durfee.__all__)) == len(durfee.__all__)
+        # the certificates run on integers, not on the Fraction series
+        assert not hasattr(durfee.bounds, "TruncatedSeries")

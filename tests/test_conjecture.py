@@ -337,8 +337,10 @@ class TestSearch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(conjecture.os, "cpu_count", lambda: cpus)
@@ -347,6 +349,49 @@ class TestSearch:
         assert pools == ([] if workers is None else [workers])
         monkeypatch.undo()
         assert result == search(2, 2, 2, 1 + specs)
+
+    def test_pool_keeps_a_bounded_window(self, monkeypatch):
+        # an in-process pool whose tasks run when their result is read; at
+        # most two tasks per worker may be outstanding at any time
+        import concurrent.futures
+
+        import durfee.conjecture as conjecture
+
+        outstanding, peak, submitted = [], [0], []
+
+        class Task:
+            def __init__(self, fn, args):
+                self.fn, self.args = fn, args
+                outstanding.append(self)
+                peak[0] = max(peak[0], len(outstanding))
+
+            def result(self):
+                outstanding.remove(self)
+                return self.fn(*self.args)
+
+        class WindowPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                submitted.append(len(args[0]))
+                return Task(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", WindowPool)
+        monkeypatch.setattr(conjecture.os, "cpu_count", lambda: 2)
+        result = search(2, 2, 2, 40, mode="full_grid", jobs=2)
+        assert sum(submitted) == result.scanned == 780
+        assert len(submitted) > 4
+        assert peak[0] == 4
+        assert not outstanding
+        monkeypatch.undo()
+        assert result == search(2, 2, 2, 40, mode="full_grid")
 
     @pytest.mark.parametrize("n, r, p_min, p_max", [(2, 2, 2, 9), (1, 3, 3, 7), (3, 4, 2, 4)])
     def test_scanned_counts_the_grid(self, n, r, p_min, p_max):
