@@ -46,6 +46,8 @@ from .conjecture import (
 )
 from .exactmath import CrossCheckError, stirling2, unlimited_int_str
 from .invariants import (
+    GENUS_METHODS,
+    MILNOR_METHODS,
     SMOOTHNESS_NOTE,
     DegreeSpec,
     invariant_report,
@@ -67,7 +69,7 @@ class ReportDocument:
     command: str
     params: dict[str, str]
     columns: tuple[str, ...]
-    rows: list[dict[str, Cell]]
+    rows: list[tuple[Cell, ...]]
     notes: list[Union[str, Callable[[], str]]] = field(default_factory=list)
 
     def meta_lines(self) -> list[str]:
@@ -92,7 +94,7 @@ def _degrees_cell(degrees: Sequence[int]) -> str:
 
 
 def render_table(doc: ReportDocument) -> str:
-    body = [[str(row[c]) for c in doc.columns] for row in doc.rows]
+    body = [list(map(str, row)) for row in doc.rows]
     widths = [max(map(len, column)) for column in zip(doc.columns, *body)]
     out = doc.meta_lines()
     out += ["  ".join(map(str.ljust, line, widths)).rstrip() for line in [doc.columns, *body]]
@@ -106,8 +108,7 @@ def render_csv(doc: ReportDocument) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(doc.columns)
-    for row in doc.rows:
-        writer.writerow([row[c] for c in doc.columns])
+    writer.writerows(doc.rows)
     return buf.getvalue()
 
 
@@ -115,7 +116,7 @@ def render_json_lines(doc: ReportDocument) -> str:
     import json  # only this format needs it, so the table path never loads it
 
     lines = [
-        json.dumps({c: row[c] for c in doc.columns}, separators=(",", ":"), default=str)
+        json.dumps(dict(zip(doc.columns, row)), separators=(",", ":"), default=str)
         for row in doc.rows
     ]
     return "".join(line + "\n" for line in lines)
@@ -213,10 +214,6 @@ TRACE_COLUMNS = (
 )
 
 
-def _row(columns: tuple[str, ...], *cells: Cell) -> dict[str, Cell]:
-    return dict(zip(columns, cells, strict=True))
-
-
 def _spec_from_args(args) -> tuple[DegreeSpec, list[str]]:
     """Build the spec to report on, with notes on how its degrees were echoed."""
     given = _parse_degrees(args.degrees)
@@ -233,24 +230,24 @@ def _spec_from_args(args) -> tuple[DegreeSpec, list[str]]:
     return spec, notes
 
 
-def _verdict_row(verdict) -> dict[str, Cell]:
+def _verdict_row(verdict) -> tuple[Cell, ...]:
     spec = verdict.spec
-    return _row(
-        INVARIANT_COLUMNS,
+    return (
         spec.n,
         spec.r,
         _degrees_cell(spec.degrees),
         verdict.mu,
         verdict.pg,
-        (-1) ** spec.n * verdict.mu + 1,
+        verdict.chi,
         verdict.strong_classification,
         verdict.classification,
         verdict.bound_value,
     )
 
 
-def _verdict_document(command, spec, echo_notes, verdict) -> ReportDocument:
+def _verdict_document(command, echo_notes, verdict) -> ReportDocument:
     """The one-row report invariants and verify share; they append own notes."""
+    spec = verdict.spec
     return ReportDocument(
         command=command,
         params={"n": str(spec.n), "degrees": _degrees_cell(spec.degrees)},
@@ -263,9 +260,9 @@ def _verdict_document(command, spec, echo_notes, verdict) -> ReportDocument:
 def cmd_invariants(args) -> int:
     spec, notes = _spec_from_args(args)
     report = invariant_report(spec)
-    doc = _verdict_document("invariants", spec, notes, judge(spec, report.mu, report.pg))
-    doc.notes.append("mu agrees across " + ", ".join(sorted(report.mu_by_method)))
-    doc.notes.append("pg agrees across " + ", ".join(sorted(report.pg_by_method)))
+    doc = _verdict_document("invariants", notes, judge(spec, report.mu, report.pg))
+    doc.notes.append("mu agrees across " + ", ".join(MILNOR_METHODS))
+    doc.notes.append("pg agrees across " + ", ".join(GENUS_METHODS))
     emit(doc, args.format)
     return 0
 
@@ -273,7 +270,7 @@ def cmd_invariants(args) -> int:
 def cmd_verify(args) -> int:
     spec, notes = _spec_from_args(args)
     verdict = verify(spec)
-    doc = _verdict_document("verify", spec, notes, verdict)
+    doc = _verdict_document("verify", notes, verdict)
     strict = " (strict bound)" if verdict.strict else ""
     doc.notes.append(
         f"{verdict.bound_name}: mu {verdict.comparison} "
@@ -285,7 +282,7 @@ def cmd_verify(args) -> int:
     )
     doc.notes.append(
         lambda: f"limit coefficient {verdict.coefficient_ratio}: mu "
-        f"{verdict.coefficient_comparison} {verdict.coefficient_ratio * verdict.pg}"
+        f"{verdict.coefficient_comparison} {verdict.coefficient_value}"
     )
     if spec.n == 2:
         e = surface_excess(spec)
@@ -298,22 +295,19 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     if args.n_max < 1 or args.r_max < 1:
         raise ValueError("need --n-max >= 1 and --r-max >= 1")
-    rows: list[dict[str, Cell]] = []
+    rows: list[tuple[Cell, ...]] = []
     for n in range(1, args.n_max + 1):
         previous = None
         for coeff in monotone_scan(n, args.r_max):
-            rows.append(
-                _row(
-                    BOUNDS_COLUMNS,
-                    coeff.n,
-                    coeff.r,
-                    coeff.value,
-                    _approx(coeff.value),
-                    2**coeff.n,
-                    _flag(coeff.value == 2**coeff.n),
-                    _flag(previous is None or coeff.value <= previous),
-                )
-            )
+            rows.append((
+                coeff.n,
+                coeff.r,
+                coeff.value,
+                _approx(coeff.value),
+                2**coeff.n,
+                _flag(coeff.value == 2**coeff.n),
+                _flag(previous is None or coeff.value <= previous),
+            ))
             previous = coeff.value
     doc = ReportDocument(
         command="bounds",
@@ -330,23 +324,20 @@ def cmd_search(args) -> int:
     p_min, p_max = _parse_span(args.p)
     mode = "full_grid" if args.full_grid else "equal_degrees"
     result = search(args.n, args.r, p_min, p_max, mode=mode, jobs=args.jobs)
-    rows: list[dict[str, Cell]] = []
+    rows: list[tuple[Cell, ...]] = []
     for violation in result.violations:
         v = violation.verdict
-        rows.append(
-            _row(
-                SEARCH_COLUMNS,
-                v.spec.n,
-                v.spec.r,
-                _degrees_cell(v.spec.degrees),
-                v.mu,
-                v.pg,
-                "+".join(violation.kinds),
-                v.strong_value,
-                v.bound_value,
-                v.coefficient_ratio * v.pg,
-            )
-        )
+        rows.append((
+            v.spec.n,
+            v.spec.r,
+            _degrees_cell(v.spec.degrees),
+            v.mu,
+            v.pg,
+            "+".join(violation.kinds),
+            v.strong_value,
+            v.bound_value,
+            v.coefficient_value,
+        ))
     doc = ReportDocument(
         command="search",
         params={
@@ -373,21 +364,18 @@ def cmd_search(args) -> int:
 
 def cmd_trace(args) -> int:
     points = trace_ratio(args.n, args.r, _parse_int_list(args.p))
-    rows: list[dict[str, Cell]] = []
+    rows: list[tuple[Cell, ...]] = []
     for pt in points:
-        rows.append(
-            _row(
-                TRACE_COLUMNS,
-                pt.p,
-                pt.mu,
-                pt.pg,
-                "" if pt.ratio is None else pt.ratio,
-                pt.coefficient,
-                "" if pt.deviation is None else pt.deviation,
-                "" if pt.deviation is None else _approx(pt.deviation),
-                _flag(pt.included),
-            )
-        )
+        rows.append((
+            pt.p,
+            pt.mu,
+            pt.pg,
+            "" if pt.ratio is None else pt.ratio,
+            pt.coefficient,
+            "" if pt.deviation is None else pt.deviation,
+            "" if pt.deviation is None else _approx(pt.deviation),
+            _flag(pt.included),
+        ))
     doc = ReportDocument(
         command="trace",
         params={"n": str(args.n), "r": str(args.r), "p": args.p},

@@ -4,11 +4,12 @@ The classical strong bound mu >= (n+1)! p_g holds for hypersurface cones
 but fails once the codimension grows; the replacement has coefficient
 C(n, r) from the bounds module, strict for surfaces with r >= 2 where the
 asymptotically sharp coefficient drops from 6 to below 36/7.  judge()
-evaluates agreed values of mu and p_g against both bounds with exact
-arithmetic only, verify() cross-checks those values first and judges them,
-search() walks a degree grid and reports violations deterministically, and
-the identity checks pin the exact linear relations between mu, p_g and the
-degree product in low dimension or codimension that the verdicts rest on.
+compares agreed values of mu and p_g with both bounds in integers only and
+returns every per-spec value a report prints, verify() cross-checks mu and
+p_g first and judges them, search() walks a degree grid and reports
+violations deterministically, trace_ratio() reads mu / p_g off verify()'s
+verdicts, and the identity checks pin the exact linear relations between
+mu, p_g and the degree product that the verdicts rest on.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ def _compare(lhs: int, rhs: int) -> str:
     return ">"
 
 
+def _versus(mu: int, coeff, pg: int) -> str:
+    """mu against coeff * p_g for an int or Fraction coeff, compared in integers."""
+    return _compare(mu * coeff.denominator, coeff.numerator * pg)
+
+
+def _curve_holds(spec: DegreeSpec, mu: int, pg: int) -> bool:
+    """n = 1: mu + (prod p_i) - 1 equals twice the delta invariant."""
+    return mu + spec.degree_product - 1 == 2 * pg
+
+
 @dataclass(frozen=True)
 class VerdictReport:
     """Exact verdict for one degree spec.
@@ -64,6 +75,7 @@ class VerdictReport:
     the strong coefficient (n+1)! and the limiting coefficient C(n, r) are
     always evaluated alongside it.  Comparisons are exact rational
     comparisons of mu against coefficient * p_g, never floating point.
+    `coefficient_value` is C(n, r) * p_g; `chi` is (-1)^n mu + 1.
     """
 
     spec: DegreeSpec
@@ -80,6 +92,8 @@ class VerdictReport:
     strong_classification: str
     coefficient_ratio: Fraction
     coefficient_comparison: str
+    coefficient_value: Fraction
+    chi: int
 
 
 @dataclass(frozen=True)
@@ -123,46 +137,34 @@ def verify(spec: DegreeSpec) -> VerdictReport:
     mu and p_g are each computed by the routes in MILNOR_METHODS and
     VERIFY_PG_METHODS, which must agree, and then judged.
     """
-    mu, _ = agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor")
-    pg, _ = agreed_value(spec, VERIFY_PG_METHODS, geometric_genus, "genus")
+    mu = agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor")
+    pg = agreed_value(spec, VERIFY_PG_METHODS, geometric_genus, "genus")
     return judge(spec, mu, pg)
 
 
 def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
     """The verdict for one spec, given its already cross-checked mu and p_g.
 
-    Each comparison of mu against coefficient * p_g is made in integers, as
-    mu * den against num * p_g; only the reported values are Fractions.
+    Each comparison of mu against coefficient * p_g is made in integers, by
+    _versus(); only the reported values are Fractions.
     """
     n, r = spec.n, spec.r
-
-    strong = factorial(n + 1) * pg
-    strong_comparison = _compare(mu, strong)
-    strong_classification = (
-        STRONG_HOLDS if strong_comparison in (">", "=") else STRONG_VIOLATED
-    )
-
     ratio = bound_coefficient(n, r)
-    coefficient_comparison = _compare(mu * ratio.denominator, ratio.numerator * pg)
-
     if n == 1:
-        coeff = _TWO
-        strict = False
-        holds = mu + spec.degree_product - 1 == 2 * pg
-        name = "curve-identity"
-        classification = IDENTITY_VERIFIED if holds else IDENTITY_FAILED
-        comparison = _compare(mu, 2 * pg)
+        name, coeff, strict = "curve-identity", _TWO, False
+    elif n == 2:
+        name, coeff, strict = "new-conjecture", _SIX if r == 1 else _FOUR, r > 1
     else:
-        name = "new-conjecture"
-        if n == 2:
-            coeff, strict = (_SIX, False) if r == 1 else (_FOUR, True)
-            comparison = _compare(mu, coeff.numerator * pg)
-        else:
-            coeff, strict = ratio, False
-            comparison = coefficient_comparison
+        name, coeff, strict = "new-conjecture", ratio, False
+    comparison = _versus(mu, coeff, pg)
+    if n == 1:
+        holds = _curve_holds(spec, mu, pg)
+        classification = IDENTITY_VERIFIED if holds else IDENTITY_FAILED
+    else:
         holds = comparison == ">" or (not strict and comparison == "=")
         classification = CONJECTURE_HOLDS if holds else CONJECTURE_VIOLATED
-
+    strong = factorial(n + 1)
+    strong_comparison = _versus(mu, strong, pg)
     return VerdictReport(
         spec=spec,
         mu=mu,
@@ -173,11 +175,15 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
         strict=strict,
         comparison=comparison,
         classification=classification,
-        strong_value=Fraction(strong),
+        strong_value=Fraction(strong * pg),
         strong_comparison=strong_comparison,
-        strong_classification=strong_classification,
+        strong_classification=(
+            STRONG_VIOLATED if strong_comparison == "<" else STRONG_HOLDS
+        ),
         coefficient_ratio=ratio,
-        coefficient_comparison=coefficient_comparison,
+        coefficient_comparison=_versus(mu, ratio, pg),
+        coefficient_value=Fraction(ratio.numerator * pg, ratio.denominator),
+        chi=(-1) ** n * mu + 1,
     )
 
 
@@ -185,9 +191,7 @@ def curve_identity(spec: DegreeSpec) -> bool:
     """n = 1: mu + (prod p_i) - 1 equals twice the delta invariant."""
     if spec.n != 1:
         raise ValueError("curve identity needs n = 1")
-    mu = milnor_number(spec)
-    pg = geometric_genus(spec)
-    return mu + spec.degree_product - 1 == 2 * pg
+    return _curve_holds(spec, milnor_number(spec), geometric_genus(spec))
 
 
 def surface_excess(spec: DegreeSpec) -> Fraction:
@@ -361,28 +365,18 @@ def search(
 def trace_ratio(n: int, r: int, p_values: Sequence[int]) -> tuple[TracePoint, ...]:
     """mu / p_g against the limiting coefficient along equal degrees.
 
-    Points with p_g = 0 are reported but excluded from ratios.  mu and p_g
-    are cross-checked as in verify().
+    Points with p_g = 0 are reported but excluded from ratios.  Each point
+    is verify()'s verdict on its spec, so mu and p_g are cross-checked.
     """
     if n < 1 or r < 1:
         raise ValueError("expected n >= 1 and r >= 1")
-    coefficient = bound_coefficient(n, r)
     points = []
     for p in p_values:
         if p < 2:
             raise ValueError("trace degrees must be >= 2")
-        spec = DegreeSpec(n, (p,) * r)
-        mu, _ = agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor")
-        pg, _ = agreed_value(spec, VERIFY_PG_METHODS, geometric_genus, "genus")
-        if pg == 0:
-            points.append(
-                TracePoint(p, mu, pg, None, coefficient, None, included=False)
-            )
-            continue
-        ratio = Fraction(mu, pg)
-        points.append(
-            TracePoint(
-                p, mu, pg, ratio, coefficient, abs(ratio - coefficient), included=True
-            )
-        )
+        v = verify(DegreeSpec(n, (p,) * r))
+        coefficient = v.coefficient_ratio
+        ratio = Fraction(v.mu, v.pg) if v.pg else None
+        deviation = None if ratio is None else abs(ratio - coefficient)
+        points.append(TracePoint(p, v.mu, v.pg, ratio, coefficient, deviation, v.pg != 0))
     return tuple(points)

@@ -15,8 +15,8 @@ genuinely different exact computations:
     from a z-series coefficient of prod_i (1 - z^(p_i)) / (1-z)^(N+1).
 
 Each route is implemented independently so any one can certify another;
-agreed_value() runs a set of routes and raises CrossCheckError on any
-disagreement rather than returning anything.
+agreed_value() runs a set of routes and returns the one value they agree
+on, or raises CrossCheckError naming every route's value.
 
 A degree equal to 1 is a hyperplane and does not change the germ, only the
 ambient dimension, and every formula here is symmetric in the degrees; so
@@ -198,14 +198,11 @@ def geometric_genus(spec: DegreeSpec, method: str = "compositions") -> int:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """All invariant values for one spec, with every route run."""
+    """The invariant values for one spec, agreed on by every route."""
 
     spec: DegreeSpec
     mu: int
     pg: int
-    chi: int
-    mu_by_method: dict[str, int]
-    pg_by_method: dict[str, int]
 
 
 def agreed_value(
@@ -213,31 +210,24 @@ def agreed_value(
     methods: Sequence[str],
     compute: Callable[[DegreeSpec, str], int],
     label: str,
-) -> tuple[int, dict[str, int]]:
-    """The value every route in methods gives for spec, and each route's value.
+) -> int:
+    """The value every route in methods gives for spec.
 
-    Raises CrossCheckError, naming the spec and every value, unless they agree.
+    Raises CrossCheckError, naming the spec and every route's value, unless
+    they agree.
     """
     values = {m: compute(spec, m) for m in methods}
     if len(set(values.values())) != 1:
         with unlimited_int_str():
             message = f"{label} methods disagree for {spec}: {values}"
         raise CrossCheckError(message)
-    return values[methods[0]], values
+    return values[methods[0]]
 
 
 def invariant_report(spec: DegreeSpec) -> InvariantReport:
-    """Compute mu and p_g by every route and enforce agreement.
-
-    chi is (-1)^n mu + 1, which the series route to mu already rests on.
-    """
-    mu, mu_values = agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor")
-    pg, pg_values = agreed_value(spec, GENUS_METHODS, geometric_genus, "genus")
+    """Compute mu and p_g by every route and enforce agreement."""
     return InvariantReport(
         spec=spec,
-        mu=mu,
-        pg=pg,
-        chi=(-1) ** spec.n * mu + 1,
-        mu_by_method=mu_values,
-        pg_by_method=pg_values,
+        mu=agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor"),
+        pg=agreed_value(spec, GENUS_METHODS, geometric_genus, "genus"),
     )

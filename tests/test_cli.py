@@ -61,7 +61,7 @@ SAMPLE = ReportDocument(
     command="sample",
     params={"k": "v"},
     columns=("a", "b"),
-    rows=[{"a": 1, "b": "x/y"}, {"a": 2, "b": "z"}],
+    rows=[(1, "x/y"), (2, "z")],
     notes=["first note"],
 )
 
@@ -85,7 +85,7 @@ class TestRendering:
             command="sample",
             params={},
             columns=("a", "bb", "c"),
-            rows=[{"a": 12345, "bb": "x", "c": "y"}, {"a": 1, "bb": "long", "c": ""}],
+            rows=[(12345, "x", "y"), (1, "long", "")],
             notes=["n"],
         )
         assert render_table(doc) == (

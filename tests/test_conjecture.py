@@ -480,3 +480,30 @@ class TestTrace:
             trace_ratio(0, 2, (3,))
         with pytest.raises(ValueError):
             trace_ratio(2, 2, (1,))
+
+    def test_each_point_is_one_verdict(self, monkeypatch):
+        import durfee.conjecture as conj
+
+        specs = []
+
+        def recording(spec):
+            specs.append(spec)
+            return verify(spec)
+
+        monkeypatch.setattr(conj, "verify", recording)
+        points = trace_ratio(2, 2, (3, 10, 50))
+        assert specs == [DegreeSpec(2, (p, p)) for p in (3, 10, 50)]
+        assert [(pt.mu, pt.pg) for pt in points] == [(s.mu, s.pg) for s in map(verify, specs)]
+
+    def test_route_disagreement_names_every_value(self, monkeypatch):
+        import durfee.conjecture as conj
+
+        def off_by_one(spec, method="compositions"):
+            value = geometric_genus(spec, method)
+            return value + 1 if method == "inclusion_exclusion" else value
+
+        monkeypatch.setattr(conj, "geometric_genus", off_by_one)
+        with pytest.raises(CrossCheckError) as info:
+            trace_ratio(2, 2, (3,))
+        assert "genus methods disagree" in str(info.value)
+        assert "'compositions': 15, 'inclusion_exclusion': 16" in str(info.value)

@@ -16,6 +16,7 @@ from durfee import (
     milnor_fiber_euler,
     milnor_number,
 )
+from durfee.conjecture import judge
 
 from _oracles import (
     equal_degree_genus,
@@ -365,19 +366,38 @@ class TestEqualDegreeGenus:
             equal_degree_genus(4, 1, 3)
 
 
-class TestInvariantReport:
-    def test_fields_and_agreement(self):
-        report = invariant_report(DegreeSpec(2, (3, 3)))
-        assert report.mu == 80
-        assert report.pg == 15
-        assert report.chi == 81
-        assert set(report.pg_by_method) == set(GENUS_METHODS)
-        assert set(report.mu_by_method) == {"closed_sum", "series"}
+def _record_routes(monkeypatch) -> list[tuple[str, str]]:
+    """Make invariant_report log each (invariant, route) it runs, in order."""
+    import durfee.invariants as inv
 
-    def test_same_routes_for_mixed_degrees(self):
-        report = invariant_report(DegreeSpec(2, (2, 3)))
-        assert set(report.mu_by_method) == set(MILNOR_METHODS)
-        assert set(report.pg_by_method) == set(GENUS_METHODS)
+    calls = []
+    for label, name in (("mu", "milnor_number"), ("pg", "geometric_genus")):
+        def recording(spec, method, _label=label, _compute=getattr(inv, name)):
+            calls.append((_label, method))
+            return _compute(spec, method)
+
+        monkeypatch.setattr(inv, name, recording)
+    return calls
+
+
+class TestInvariantReport:
+    def test_fields_and_agreement(self, monkeypatch):
+        calls = _record_routes(monkeypatch)
+        spec = DegreeSpec(2, (3, 3))
+        report = invariant_report(spec)
+        assert (report.spec, report.mu, report.pg) == (spec, 80, 15)
+        assert judge(spec, report.mu, report.pg).chi == 81
+        assert sorted(calls) == sorted(
+            [("mu", m) for m in MILNOR_METHODS] + [("pg", m) for m in GENUS_METHODS]
+        )
+        assert MILNOR_METHODS == ("closed_sum", "series")
+
+    def test_same_routes_for_mixed_degrees(self, monkeypatch):
+        calls = _record_routes(monkeypatch)
+        invariant_report(DegreeSpec(2, (2, 3)))
+        assert sorted(calls) == sorted(
+            [("mu", m) for m in MILNOR_METHODS] + [("pg", m) for m in GENUS_METHODS]
+        )
 
     def test_smooth_germ_rejected(self):
         with pytest.raises(SmoothGermError):
@@ -389,3 +409,16 @@ class TestInvariantReport:
         monkeypatch.setattr(inv, "_genus_series", lambda spec: -1)
         with pytest.raises(CrossCheckError):
             invariant_report(DegreeSpec(2, (3, 3)))
+
+    def test_disagreement_names_every_route_value(self, monkeypatch):
+        import durfee.invariants as inv
+
+        monkeypatch.setattr(inv, "_genus_series", lambda spec: -1)
+        with pytest.raises(CrossCheckError) as info:
+            invariant_report(DegreeSpec(2, (3, 3)))
+        message = str(info.value)
+        assert message.startswith("genus methods disagree for DegreeSpec(n=2, degrees=(3, 3))")
+        for route, value in (
+            ("compositions", 15), ("inclusion_exclusion", 15), ("series_coeff", -1)
+        ):
+            assert f"'{route}': {value}" in message
