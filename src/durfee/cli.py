@@ -164,6 +164,8 @@ def _parse_span(text: str) -> tuple[int, int]:
 def _parse_int_list(text: str) -> Sequence[int]:
     if ".." in text:
         lo, hi = _parse_span(text)
+        if lo > hi:
+            raise ValueError(f"empty range {text!r}; expected lo <= hi, like 2..10")
         return range(lo, hi + 1)  # lazy: a long range is never materialised
     try:
         return tuple(int(part) for part in text.split(","))

@@ -346,6 +346,13 @@ class TestTraceCommand:
         assert out == ""
         assert err.startswith("internal cross-check failure: ")
 
+    @pytest.mark.parametrize("span", ["5..2", "3..2"])
+    def test_reversed_range_exits_2(self, capsys, span):
+        code, out, err = run_cli(capsys, "trace", "--n", "2", "--r", "2", "--p", span)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: empty range {span!r}; expected lo <= hi, like 2..10\n"
+
 
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
