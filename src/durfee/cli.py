@@ -144,9 +144,21 @@ def emit(doc: ReportDocument, fmt: str, out=None, err=None) -> None:
             err.write(line + "\n")
 
 
+def _parse_int(text: str) -> int:
+    """An optionally signed run of ASCII digits, with surrounding whitespace.
+
+    Stricter than int(), which also takes underscores and non-ASCII digits.
+    """
+    stripped = text.strip()
+    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(stripped)
+
+
 def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_parse_int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse degrees {text!r}; expected like 3,3") from None
 
@@ -156,7 +168,7 @@ def _parse_span(text: str) -> tuple[int, int]:
         raise ValueError(f"cannot parse range {text!r}; expected like 2..10")
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        return _parse_int(lo), _parse_int(hi)
     except ValueError:
         raise ValueError(f"cannot parse range {text!r}; expected like 2..10") from None
 
@@ -168,7 +180,7 @@ def _parse_int_list(text: str) -> Sequence[int]:
             raise ValueError(f"empty range {text!r}; expected lo <= hi, like 2..10")
         return range(lo, hi + 1)  # lazy: a long range is never materialised
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_parse_int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse list {text!r}; expected like 3,10,50") from None
 

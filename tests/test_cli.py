@@ -29,26 +29,31 @@ def run_cli(capsys, *argv):
 
 
 class TestParsing:
+    # int() alone would also take underscores and non-ASCII digits
     def test_degrees(self):
         assert _parse_degrees("3,3") == (3, 3)
         assert _parse_degrees("7") == (7,)
-        with pytest.raises(ValueError):
-            _parse_degrees("3;3")
-        with pytest.raises(ValueError):
-            _parse_degrees("a,b")
+        assert _parse_degrees(" 3, +4 ,-2") == (3, 4, -2)
+        for text in ("3;3", "a,b", "3_3", "\u0663,\u0663", "3,1_0", "+", "- 3"):
+            with pytest.raises(ValueError, match="cannot parse degrees"):
+                _parse_degrees(text)
 
     def test_span(self):
         assert _parse_span("2..10") == (2, 10)
-        with pytest.raises(ValueError):
-            _parse_span("2-10")
-        with pytest.raises(ValueError):
-            _parse_span("x..y")
+        assert _parse_span(" 2 .. 5 ") == (2, 5)
+        for text in ("2-10", "x..y", "2..1_0", "\u0662..5"):
+            with pytest.raises(ValueError, match="cannot parse range"):
+                _parse_span(text)
 
     def test_int_list(self):
         assert _parse_int_list("3,10,50") == (3, 10, 50)
+        assert _parse_int_list(" 3 ,10") == (3, 10)
         assert tuple(_parse_int_list("2..5")) == (2, 3, 4, 5)
-        with pytest.raises(ValueError):
-            _parse_int_list("3,x")
+        for text in ("3,x", "3,1_0"):
+            with pytest.raises(ValueError, match="cannot parse list"):
+                _parse_int_list(text)
+        with pytest.raises(ValueError, match="cannot parse range"):
+            _parse_int_list("2..1_0")
 
     def test_int_range_is_lazy(self):
         # a range is never materialised, so a huge one parses at once
@@ -405,6 +410,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "invariants", "--n", "2", "--degrees", "1,1")
         assert code == 2
         assert "smooth germ" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "--n", "2", "--degrees", "3_3"],
+            ["verify", "--n", "2", "--degrees", "\u0663,\u0663"],
+            ["search", "--n", "2", "--r", "2", "--p", "2..1_0"],
+            ["trace", "--n", "2", "--r", "2", "--p", "3,1_0"],
+        ],
+    )
+    def test_python_literal_extras_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse ")
 
     def test_unparsable_degrees(self, capsys):
         code, _, _ = run_cli(capsys, "invariants", "--n", "2", "--degrees", "x")
