@@ -49,17 +49,14 @@ VERIFY_PG_METHODS = ("compositions", "inclusion_exclusion")
 _TWO, _FOUR, _SIX = Fraction(2), Fraction(4), Fraction(6)
 
 
-def _compare(lhs: int, rhs: int) -> str:
+def _versus(mu: int, coeff, pg: int) -> str:
+    """mu against coeff * p_g for an int or Fraction coeff, compared in integers."""
+    lhs, rhs = mu * coeff.denominator, coeff.numerator * pg
     if lhs < rhs:
         return "<"
     if lhs == rhs:
         return "="
     return ">"
-
-
-def _versus(mu: int, coeff, pg: int) -> str:
-    """mu against coeff * p_g for an int or Fraction coeff, compared in integers."""
-    return _compare(mu * coeff.denominator, coeff.numerator * pg)
 
 
 def _curve_holds(spec: DegreeSpec, mu: int, pg: int) -> bool:

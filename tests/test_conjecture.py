@@ -28,7 +28,7 @@ from durfee.conjecture import (
     STRONG_HOLDS,
     STRONG_VIOLATED,
     VERIFY_PG_METHODS,
-    _compare,
+    _versus,
     judge,
 )
 
@@ -112,9 +112,12 @@ class TestVerify:
             verify(DegreeSpec(2, (3, 3)))
 
     def test_compare_helper(self):
-        assert _compare(6, Fraction(6)) == "="
-        assert _compare(5, Fraction(6)) == "<"
-        assert _compare(7, Fraction(6)) == ">"
+        assert _versus(6, Fraction(6), 1) == "="
+        assert _versus(5, Fraction(6), 1) == "<"
+        assert _versus(7, 6, 1) == ">"
+        # 77 * 7 = 539 against 36 * 15 = 540
+        assert _versus(77, Fraction(36, 7), 15) == "<"
+        assert _versus(78, Fraction(36, 7), 15) == ">"
 
 
 class TestJudgeBoundaries:
