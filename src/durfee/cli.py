@@ -156,6 +156,14 @@ def _parse_int(text: str) -> int:
     return int(stripped)
 
 
+def _option_int(text: str) -> int:
+    """argparse type of the integer options: _parse_int, with int's usage error."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
         return tuple(_parse_int(part) for part in text.split(","))
@@ -539,36 +547,36 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_inv = sub.add_parser("invariants", help="compute mu, pg, chi for one spec")
-    p_inv.add_argument("--n", type=int, required=True, help="singularity dimension")
+    p_inv.add_argument("--n", type=_option_int, required=True, help="singularity dimension")
     p_inv.add_argument("--degrees", required=True, help="comma-separated degrees, like 3,3")
     add_format(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_ver = sub.add_parser("verify", help="evaluate the bounds for one spec")
-    p_ver.add_argument("--n", type=int, required=True)
+    p_ver.add_argument("--n", type=_option_int, required=True)
     p_ver.add_argument("--degrees", required=True)
     add_format(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_bounds = sub.add_parser("bounds", help="tabulate bound coefficients C(n, r)")
-    p_bounds.add_argument("--n-max", type=int, default=8)
-    p_bounds.add_argument("--r-max", type=int, default=12)
+    p_bounds.add_argument("--n-max", type=_option_int, default=8)
+    p_bounds.add_argument("--r-max", type=_option_int, default=12)
     add_format(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_search = sub.add_parser("search", help="scan a degree grid for violations")
-    p_search.add_argument("--n", type=int, required=True)
-    p_search.add_argument("--r", type=int, required=True)
+    p_search.add_argument("--n", type=_option_int, required=True)
+    p_search.add_argument("--r", type=_option_int, required=True)
     p_search.add_argument("--p", required=True, help="degree range, like 2..10")
     p_search.add_argument("--full-grid", action="store_true",
                           help="all non-decreasing vectors (default: equal degrees)")
-    p_search.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_search.add_argument("--jobs", type=_option_int, default=1, help="worker processes")
     add_format(p_search)
     p_search.set_defaults(func=cmd_search)
 
     p_trace = sub.add_parser("trace", help="trace mu/pg against the limit coefficient")
-    p_trace.add_argument("--n", type=int, required=True)
-    p_trace.add_argument("--r", type=int, required=True)
+    p_trace.add_argument("--n", type=_option_int, required=True)
+    p_trace.add_argument("--r", type=_option_int, required=True)
     p_trace.add_argument("--p", required=True, help="list like 3,10,50 or range like 2..10")
     add_format(p_trace)
     p_trace.set_defaults(func=cmd_trace)

@@ -426,6 +426,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: cannot parse ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "--degrees", "3", "--n", "1_0"],
+            ["bounds", "--n-max", "\u0662"],
+            ["bounds", "--r-max", "1_2"],
+            ["search", "--n", "2", "--p", "2..4", "--r", "\u0663"],
+            ["search", "--n", "2", "--r", "2", "--p", "2..4", "--jobs", "\u0662"],
+            ["trace", "--n", "2", "--p", "3", "--r", "x"],
+        ],
+    )
+    def test_integer_options_take_ascii_digits_only(self, capsys, argv):
+        # the bad value comes last; argparse rejects it with int's usage error
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.rstrip().endswith(f"argument {argv[-2]}: invalid int value: {argv[-1]!r}")
+
     def test_unparsable_degrees(self, capsys):
         code, _, _ = run_cli(capsys, "invariants", "--n", "2", "--degrees", "x")
         assert code == 2

@@ -47,8 +47,10 @@ def corpus() -> list[list[str]]:
             for degrees in BAD_DEGREES:
                 argvs.append([command, "--n", "2", "--degrees", degrees, *f])
             argvs.append([command, "--n", "0", "--degrees", "3,3", *f])
+            argvs.append([command, "--n", "1_0", "--degrees", "3", *f])
         for n_max, r_max in BOUNDS_LIMITS:
             argvs.append(["bounds", "--n-max", str(n_max), "--r-max", str(r_max), *f])
+        argvs.append(["bounds", "--n-max", "1_0", *f])
         for n, r, span in SEARCH_SHAPES:
             for grid in ([], ["--full-grid"]):
                 for jobs in ("1", "2"):
@@ -57,6 +59,8 @@ def corpus() -> list[list[str]]:
         for span in BAD_SPANS:
             argvs.append(["search", "--n", "2", "--r", "2", "--p", span, *f])
         argvs.append(["search", "--n", "2", "--r", "2", "--p", "2..4", "--jobs", "0", *f])
+        argvs.append(["search", "--n", "2", "--r", "2", "--p", "2..4", "--jobs", "\u0662", *f])
+        argvs.append(["search", "--n", "2", "--r", "\u0663", "--p", "2..4", *f])
         argvs.append(["search", "--n", "0", "--r", "2", "--p", "2..4", *f])
         for n, r, points in TRACE_SHAPES + BAD_TRACES:
             argvs.append(["trace", "--n", str(n), "--r", str(r), "--p", points, *f])
