@@ -28,9 +28,9 @@ by exactmath.product_coefficients without enumerating compositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from typing import NamedTuple
 
 from .exactmath import (
     CrossCheckError,
@@ -65,21 +65,29 @@ def stirling_factorial_sum(n: int, r: int) -> Fraction:
     return Fraction(stirling2(n + r, r) * factorial(r), factorial(n + r))
 
 
-@dataclass(frozen=True)
-class BoundCoefficient:
-    """One exact bound coefficient C(n, r) with its floor invariants."""
-
+class _BoundCoefficientFields(NamedTuple):
     n: int
     r: int
     value: Fraction
 
-    def __post_init__(self):
-        if self.value <= 0:
-            raise CrossCheckError(f"bound coefficient C({self.n},{self.r}) not positive")
-        if self.value < 2**self.n:
+
+class BoundCoefficient(_BoundCoefficientFields):
+    """One exact bound coefficient C(n, r) with its floor invariants."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, r: int, value: Fraction) -> BoundCoefficient:
+        if value <= 0:
+            raise CrossCheckError(f"bound coefficient C({n},{r}) not positive")
+        if value < 2**n:
             raise CrossCheckError(
-                f"bound coefficient C({self.n},{self.r}) = {self.value} below floor 2^{self.n}"
+                f"bound coefficient C({n},{r}) = {value} below floor 2^{n}"
             )
+        return super().__new__(cls, n, r, value)
+
+    @classmethod
+    def _make(cls, iterable) -> BoundCoefficient:  # so _replace() checks as well
+        return cls(*iterable)
 
 
 # C(n, r) by (n, r), filled on first use: verify() asks for the same few

@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import __version__
 from .bounds import (
@@ -58,7 +57,6 @@ from .invariants import (
 Cell = Union[int, Fraction, str]
 
 
-@dataclass
 class ReportDocument:
     """One renderable report: echoed inputs, fixed columns, exact-value rows.
 
@@ -66,11 +64,21 @@ class ReportDocument:
     both become text inside emit(), past the int-to-str digit limit.
     """
 
-    command: str
-    params: dict[str, str]
-    columns: tuple[str, ...]
-    rows: list[tuple[Cell, ...]]
-    notes: list[Union[str, Callable[[], str]]] = field(default_factory=list)
+    __slots__ = ("command", "params", "columns", "rows", "notes")
+
+    def __init__(
+        self,
+        command: str,
+        params: dict[str, str],
+        columns: tuple[str, ...],
+        rows: list[tuple[Cell, ...]],
+        notes: Optional[list[Union[str, Callable[[], str]]]] = None,
+    ):
+        self.command = command
+        self.params = params
+        self.columns = columns
+        self.rows = rows
+        self.notes = [] if notes is None else notes
 
     def meta_lines(self) -> list[str]:
         lines = [f"# command: {self.command}", f"# version: {__version__}"]

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb, factorial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import balanced_min_product, bound_coefficient, min_product_bound
 from .exactmath import falling_factorial
@@ -64,8 +63,7 @@ def _curve_holds(spec: DegreeSpec, mu: int, pg: int) -> bool:
     return mu + spec.degree_product - 1 == 2 * pg
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     """Exact verdict for one degree spec.
 
     The applicable bound for the given dimension drives `classification`;
@@ -93,14 +91,12 @@ class VerdictReport:
     chi: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     verdict: VerdictReport
     kinds: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Deterministic outcome of a grid search.
 
     Violations are ordered lexicographically by (degree sum, degrees);
@@ -117,8 +113,7 @@ class SearchResult:
     minimal: Optional[Violation]
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
     p: int
     mu: int
     pg: int

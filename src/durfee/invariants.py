@@ -27,10 +27,9 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import comb, prod
 from operator import getitem
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
 from .series import TruncatedSeries
@@ -47,20 +46,23 @@ class SmoothGermError(ValueError):
     """All degrees equal 1: the cone is a smooth germ, nothing to compute."""
 
 
-@dataclass(frozen=True)
-class DegreeSpec:
+class _DegreeSpecFields(NamedTuple):
+    n: int
+    degrees: tuple[int, ...]
+
+
+class DegreeSpec(_DegreeSpecFields):
     """A singularity dimension n together with the hypersurface degrees.
 
     The degrees are stored in normal form: degree-1 entries (hyperplanes)
     dropped and the rest sorted, so equal germs give equal specs.
     """
 
-    n: int
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        degrees = tuple(self.degrees)
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+    def __new__(cls, n: int, degrees: Sequence[int]) -> DegreeSpec:
+        degrees = tuple(degrees)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("dimension n must be an integer >= 1")
         if not degrees:
             raise ValueError("at least one degree is required")
@@ -72,7 +74,11 @@ class DegreeSpec:
             raise SmoothGermError(
                 "all degrees equal 1: smooth germ, invariants are not computed"
             )
-        object.__setattr__(self, "degrees", kept)
+        return super().__new__(cls, n, kept)
+
+    @classmethod
+    def _make(cls, iterable) -> DegreeSpec:  # so _replace() normalises as well
+        return cls(*iterable)
 
     @property
     def r(self) -> int:
@@ -196,8 +202,7 @@ def geometric_genus(spec: DegreeSpec, method: str = "compositions") -> int:
     raise ValueError(f"unknown genus method {method!r}; choose from {GENUS_METHODS}")
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """The invariant values for one spec, agreed on by every route."""
 
     spec: DegreeSpec
