@@ -110,6 +110,12 @@ class TestBoundCoefficient:
             BoundCoefficient(2, 1, Fraction(3))
         with pytest.raises(CrossCheckError):
             BoundCoefficient(1, 1, Fraction(-2))
+        coeff = BoundCoefficient(2, 2, Fraction(36, 7))
+        with pytest.raises(CrossCheckError, match="below floor"):
+            coeff._replace(value=Fraction(3))
+        for field in coeff._fields:
+            with pytest.raises(AttributeError):
+                setattr(coeff, field, 5)
 
 
 class TestMonotoneScan:

@@ -525,6 +525,10 @@ class TestImportCost:
         # only the csv and json-lines renderers import them
         assert self.loaded_after_cli_import({"csv", "json"}) == "[]\n"
 
+    def test_cli_import_generates_no_record_code(self):
+        # the records are named tuples: no dataclasses, and so no inspect
+        assert self.loaded_after_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
 
 class TestPackageSurface:
     def test_all_names_resolve_once(self):

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -121,6 +122,24 @@ class TestVerify:
         # 77 * 7 = 539 against 36 * 15 = 540
         assert _versus(77, Fraction(36, 7), 15) == "<"
         assert _versus(78, Fraction(36, 7), 15) == ">"
+
+
+class TestRecords:
+    def test_verdict_pickles(self):
+        # search --jobs K sends verdicts back from its workers
+        v = verify(DegreeSpec(3, (3, 2)))
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v
+        assert type(back) is type(v)
+        assert type(back.spec) is DegreeSpec
+
+    def test_fields_are_read_only(self):
+        result = search(2, 2, 2, 4, mode="full_grid")
+        records = [result, result.minimal, result.minimal.verdict, trace_ratio(2, 2, [3])[0]]
+        for record in records:
+            for field in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, None)
 
 
 class TestJudgeBoundaries:

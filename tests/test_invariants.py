@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations_with_replacement
 
@@ -78,6 +79,41 @@ class TestDegreeSpec:
         assert DegreeSpec(2, (5, 2, 3)).degrees == (2, 3, 5)
         assert DegreeSpec(2, (5, 1, 2)).degrees == (2, 5)
         assert DegreeSpec(2, (3, 2)) == DegreeSpec(2, (2, 3))
+
+    def test_error_order(self):
+        # n first, then an empty list, then each degree, then all ones
+        with pytest.raises(ValueError, match="dimension n"):
+            DegreeSpec(0, ())
+        with pytest.raises(ValueError, match="at least one degree"):
+            DegreeSpec(2, ())
+        with pytest.raises(ValueError, match="integers >= 1"):
+            DegreeSpec(2, (1, 1, False))
+        with pytest.raises(SmoothGermError, match="all degrees equal 1"):
+            DegreeSpec(2, (1, 1))
+
+    def test_is_an_immutable_value(self):
+        spec = DegreeSpec(2, (3, 2))
+        assert repr(spec) == "DegreeSpec(n=2, degrees=(2, 3))"
+        assert hash(spec) == hash(DegreeSpec(2, [1, 2, 3]))
+        # a named tuple also equals the plain tuple of its values
+        assert spec == (2, (2, 3))
+        for field in ("n", "degrees"):
+            with pytest.raises(AttributeError):
+                setattr(spec, field, 3)
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+
+    def test_pickle_round_trip(self):
+        spec = DegreeSpec(3, (4, 1, 2))
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        assert type(back) is DegreeSpec
+
+    def test_replace_keeps_the_normal_form(self):
+        spec = DegreeSpec(2, (3,))
+        assert spec._replace(degrees=(5, 1, 4)).degrees == (4, 5)
+        with pytest.raises(ValueError, match="dimension n"):
+            spec._replace(n=0)
 
 
 class TestMilnor:
@@ -402,6 +438,12 @@ class TestInvariantReport:
     def test_smooth_germ_rejected(self):
         with pytest.raises(SmoothGermError):
             invariant_report(DegreeSpec(2, (1,)))
+
+    def test_fields_are_read_only(self):
+        report = invariant_report(DegreeSpec(2, (3, 3)))
+        for field in report._fields:
+            with pytest.raises(AttributeError):
+                setattr(report, field, 0)
 
     def test_disagreement_raises(self, monkeypatch):
         import durfee.invariants as inv
