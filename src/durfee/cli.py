@@ -15,7 +15,7 @@ import io
 import sys
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from . import __version__
 from .bounds import (
@@ -57,28 +57,19 @@ from .invariants import (
 Cell = Union[int, Fraction, str]
 
 
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """One renderable report: echoed inputs, fixed columns, exact-value rows.
 
+    Each reporting command returns one, and main() alone renders it.
     Cells stay exact and a note quoting a result is a callable, so that
     both become text inside emit(), past the int-to-str digit limit.
     """
 
-    __slots__ = ("command", "params", "columns", "rows", "notes")
-
-    def __init__(
-        self,
-        command: str,
-        params: dict[str, str],
-        columns: tuple[str, ...],
-        rows: list[tuple[Cell, ...]],
-        notes: Optional[list[Union[str, Callable[[], str]]]] = None,
-    ):
-        self.command = command
-        self.params = params
-        self.columns = columns
-        self.rows = rows
-        self.notes = [] if notes is None else notes
+    command: str
+    params: dict[str, str]
+    columns: tuple[str, ...]
+    rows: list[tuple[Cell, ...]]
+    notes: Sequence[Union[str, Callable[[], str]]] = ()
 
     def meta_lines(self) -> list[str]:
         lines = [f"# command: {self.command}", f"# version: {__version__}"]
@@ -260,21 +251,6 @@ def _spec_from_args(args) -> tuple[DegreeSpec, list[str]]:
     return spec, notes
 
 
-def _verdict_row(verdict) -> tuple[Cell, ...]:
-    spec = verdict.spec
-    return (
-        spec.n,
-        spec.r,
-        _degrees_cell(spec.degrees),
-        verdict.mu,
-        verdict.pg,
-        verdict.chi,
-        verdict.strong_classification,
-        verdict.classification,
-        verdict.bound_value,
-    )
-
-
 def _verdict_document(command, echo_notes, verdict) -> ReportDocument:
     """The one-row report invariants and verify share; they append own notes."""
     spec = verdict.spec
@@ -282,22 +258,23 @@ def _verdict_document(command, echo_notes, verdict) -> ReportDocument:
         command=command,
         params={"n": str(spec.n), "degrees": _degrees_cell(spec.degrees)},
         columns=INVARIANT_COLUMNS,
-        rows=[_verdict_row(verdict)],
+        rows=[(spec.n, spec.r, _degrees_cell(spec.degrees),
+               verdict.mu, verdict.pg, verdict.chi, verdict.strong_classification,
+               verdict.classification, verdict.bound_value)],
         notes=[*echo_notes, SMOOTHNESS_NOTE],
     )
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> ReportDocument:
     spec, notes = _spec_from_args(args)
     report = invariant_report(spec)
     doc = _verdict_document("invariants", notes, judge(spec, report.mu, report.pg))
     doc.notes.append("mu agrees across " + ", ".join(MILNOR_METHODS))
     doc.notes.append("pg agrees across " + ", ".join(GENUS_METHODS))
-    emit(doc, args.format)
-    return 0
+    return doc
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> ReportDocument:
     spec, notes = _spec_from_args(args)
     verdict = verify(spec)
     doc = _verdict_document("verify", notes, verdict)
@@ -318,11 +295,10 @@ def cmd_verify(args) -> int:
         e = surface_excess(spec)
         sign = "zero" if e == 0 else ("positive" if e > 0 else "negative")
         doc.notes.append(lambda: f"surface excess E = {e} ({sign})")
-    emit(doc, args.format)
-    return 0
+    return doc
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> ReportDocument:
     if args.n_max < 1 or args.r_max < 1:
         raise ValueError("need --n-max >= 1 and --r-max >= 1")
     rows: list[tuple[Cell, ...]] = []
@@ -339,18 +315,16 @@ def cmd_bounds(args) -> int:
                 _flag(previous is None or coeff.value <= previous),
             ))
             previous = coeff.value
-    doc = ReportDocument(
+    return ReportDocument(
         command="bounds",
         params={"n_max": str(args.n_max), "r_max": str(args.r_max)},
         columns=BOUNDS_COLUMNS,
         rows=rows,
         notes=["approx_coefficient is a six-digit decimal approximation"],
     )
-    emit(doc, args.format)
-    return 0
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> ReportDocument:
     p_min, p_max = _parse_span(args.p)
     mode = "full_grid" if args.full_grid else "equal_degrees"
     result = search(args.n, args.r, p_min, p_max, mode=mode, jobs=args.jobs)
@@ -368,7 +342,16 @@ def cmd_search(args) -> int:
             v.bound_value,
             v.coefficient_value,
         ))
-    doc = ReportDocument(
+    notes = [f"scanned {result.scanned} specs, {len(result.violations)} violations"]
+    if result.minimal is not None:
+        m = result.minimal.verdict
+        notes.append(
+            lambda: f"minimal violation: degrees {_degrees_cell(m.spec.degrees)} "
+            f"(mu {m.mu}, pg {m.pg})"
+        )
+    else:
+        notes.append("no violations found")
+    return ReportDocument(
         command="search",
         params={
             "n": str(result.n),
@@ -378,21 +361,11 @@ def cmd_search(args) -> int:
         },
         columns=SEARCH_COLUMNS,
         rows=rows,
+        notes=notes,
     )
-    doc.notes.append(f"scanned {result.scanned} specs, {len(result.violations)} violations")
-    if result.minimal is not None:
-        m = result.minimal.verdict
-        doc.notes.append(
-            lambda: f"minimal violation: degrees {_degrees_cell(m.spec.degrees)} "
-            f"(mu {m.mu}, pg {m.pg})"
-        )
-    else:
-        doc.notes.append("no violations found")
-    emit(doc, args.format)
-    return 0
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> ReportDocument:
     points = trace_ratio(args.n, args.r, _parse_int_list(args.p))
     rows: list[tuple[Cell, ...]] = []
     for pt in points:
@@ -406,7 +379,7 @@ def cmd_trace(args) -> int:
             "" if pt.deviation is None else _approx(pt.deviation),
             _flag(pt.included),
         ))
-    doc = ReportDocument(
+    return ReportDocument(
         command="trace",
         params={"n": str(args.n), "r": str(args.r), "p": args.p},
         columns=TRACE_COLUMNS,
@@ -416,8 +389,6 @@ def cmd_trace(args) -> int:
             "points with pg = 0 are excluded from ratios",
         ],
     )
-    emit(doc, args.format)
-    return 0
 
 
 def _stirling_recurrence_table(m_max: int) -> dict[tuple[int, int], int]:
@@ -606,13 +577,17 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        if isinstance(doc, int):  # selftest prints its own lines
+            return doc
+        emit(doc, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrossCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -260,38 +260,36 @@ def degree_grid(r: int, p_min: int, p_max: int) -> Iterator[tuple[int, ...]]:
     return combinations_with_replacement(range(p_min, p_max + 1), r)
 
 
-def _violation_kinds(verdict: VerdictReport) -> tuple[str, ...]:
-    kinds = []
-    if verdict.strong_classification == STRONG_VIOLATED:
-        kinds.append("strong-durfee")
-    if verdict.spec.n == 2 and verdict.coefficient_comparison == "<":
-        kinds.append("coefficient-bound")
-    return tuple(kinds)
-
-
-def _violations(verdicts: Iterable[VerdictReport]) -> list[Violation]:
-    """The verdicts that violate a bound, in the order given; the rest are dropped."""
+def _violations(specs: Iterable[DegreeSpec]) -> list[Violation]:
+    """verify() over specs, keeping the verdicts that violate a bound, in order."""
     violations = []
-    for verdict in verdicts:
-        kinds = _violation_kinds(verdict)
+    for verdict in map(verify, specs):
+        kinds = ()
+        if verdict.strong_classification == STRONG_VIOLATED:
+            kinds += ("strong-durfee",)
+        if verdict.spec.n == 2 and verdict.coefficient_comparison == "<":
+            kinds += ("coefficient-bound",)
         if kinds:
             violations.append(Violation(verdict=verdict, kinds=kinds))
     return violations
 
 
-def _verify_all(specs: list[DegreeSpec]) -> list[VerdictReport]:
-    return [verify(spec) for spec in specs]
-
-
-def _pooled_verdicts(pool, specs: Iterator[DegreeSpec], chunk: int, window: int):
-    """verify() over specs on the pool, in order, with at most window tasks in flight."""
+def _pooled_violations(pool, specs: Iterator[DegreeSpec], chunk: int, window: int):
+    """_violations() over specs on the pool, in order, with at most window tasks in flight."""
     pending = deque()
     for batch in iter(lambda: list(islice(specs, chunk)), []):
         if len(pending) == window:
             yield from pending.popleft().result()
-        pending.append(pool.submit(_verify_all, batch))
+        pending.append(pool.submit(_violations, batch))
     while pending:
         yield from pending.popleft().result()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sort_key(violation: Violation):
@@ -311,9 +309,10 @@ def search(
 
     Reports every strong-Durfee violation (mu < (n+1)! p_g) and, for
     surfaces, every violation of mu >= C(2, r) p_g.  The outcome does not
-    depend on jobs: workers only evaluate verify() per spec and results
-    are merged in grid order.  The pool never has more workers than there
-    are CPUs or specs, and with one worker the scan runs in process.
+    depend on jobs: workers verify their specs and send back only the
+    violations, which are merged in grid order.  The pool never has more
+    workers than there are specs or CPUs this process may use, and with
+    one worker the scan runs in process.
     """
     if n < 1 or r < 1:
         raise ValueError("expected n >= 1 and r >= 1")
@@ -331,15 +330,15 @@ def search(
         scanned = comb(p_max - p_min + r, r)
         specs = (DegreeSpec(n, degrees) for degrees in degree_grid(r, p_min, p_max))
 
-    workers = min(jobs, os.cpu_count() or 1, scanned)
+    workers = min(jobs, _usable_cpus(), scanned)
     if workers == 1:
-        violations = _violations(map(verify, specs))
+        violations = _violations(specs)
     else:
         from concurrent.futures import ProcessPoolExecutor  # heavy, so only here
         # at most 256 specs a task and two tasks a worker in flight
         chunk = min(max(1, scanned // (4 * workers)), 256)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            violations = _violations(_pooled_verdicts(pool, specs, chunk, 2 * workers))
+            violations = list(_pooled_violations(pool, specs, chunk, 2 * workers))
 
     violations.sort(key=_sort_key)
     return SearchResult(

@@ -13,6 +13,7 @@ from durfee.cli import (
     _parse_degrees,
     _parse_int_list,
     _parse_span,
+    build_parser,
     emit,
     main,
     render_csv,
@@ -139,6 +140,30 @@ class TestRendering:
     def test_emit_unknown_format(self):
         with pytest.raises(ValueError):
             emit(SAMPLE, "yaml", out=io.StringIO(), err=io.StringIO())
+
+
+class TestReportPath:
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invariants", "--n", "2", "--degrees", "3,3"),
+            ("verify", "--n", "2", "--degrees", "3,3"),
+            ("bounds", "--n-max", "2", "--r-max", "3"),
+            ("search", "--n", "2", "--r", "2", "--p", "2..4", "--full-grid"),
+            ("trace", "--n", "2", "--r", "2", "--p", "3,10"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_commands_return_their_document(self, capsys, argv, fmt):
+        # a reporting command writes nothing; main renders what it returns
+        args = build_parser().parse_args([*argv, "--format", fmt])
+        doc = args.func(args)
+        assert type(doc) is ReportDocument
+        assert capsys.readouterr() == ("", "")
+        out, err = io.StringIO(), io.StringIO()
+        emit(doc, fmt, out=out, err=err)
+        assert run_cli(capsys, *argv, "--format", fmt) == (0, out.getvalue(), err.getvalue())
 
 
 class TestInvariantsCommand:

@@ -1,6 +1,7 @@
 import pickle
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from durfee import (
     trace_ratio,
     verify,
 )
+from durfee.cli import ReportDocument
 from durfee.conjecture import (
     CONJECTURE_HOLDS,
     CONJECTURE_VIOLATED,
@@ -29,9 +31,38 @@ from durfee.conjecture import (
     STRONG_HOLDS,
     STRONG_VIOLATED,
     VERIFY_PG_METHODS,
+    Violation,
     _versus,
     judge,
 )
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """ProcessPoolExecutor swapped for a pool that runs each task in process
+    as it is submitted, recording its max_workers and each task's return."""
+    import concurrent.futures
+
+    seen = SimpleNamespace(workers=[], returns=[])
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            seen.returns.append(future.result())
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return seen
 
 
 class TestVerify:
@@ -126,7 +157,7 @@ class TestVerify:
 
 class TestRecords:
     def test_verdict_pickles(self):
-        # search --jobs K sends verdicts back from its workers
+        # search --jobs K sends violations, and so verdicts, back from its workers
         v = verify(DegreeSpec(3, (3, 2)))
         back = pickle.loads(pickle.dumps(v))
         assert back == v
@@ -135,7 +166,8 @@ class TestRecords:
 
     def test_fields_are_read_only(self):
         result = search(2, 2, 2, 4, mode="full_grid")
-        records = [result, result.minimal, result.minimal.verdict, trace_ratio(2, 2, [3])[0]]
+        records = [result, result.minimal, result.minimal.verdict, trace_ratio(2, 2, [3])[0],
+                   ReportDocument("sample", {}, ("a",), [(1,)])]
         for record in records:
             for field in record._fields:
                 with pytest.raises(AttributeError):
@@ -341,39 +373,46 @@ class TestSearch:
         parallel = search(2, 2, 2, 8, jobs=3)
         assert serial == parallel
 
-    @pytest.mark.parametrize(
-        "cpus, specs, workers", [(2, 5, 2), (8, 3, 3), (None, 5, None), (1, 5, None)]
-    )
-    def test_pool_is_clamped(self, monkeypatch, cpus, specs, workers):
-        # the recorder runs the map in process, so no worker is ever started
-        import concurrent.futures
-
+    @pytest.mark.parametrize("cpus, specs, workers", [(2, 5, 2), (8, 3, 3), (1, 5, None)])
+    def test_pool_is_clamped(self, monkeypatch, inline_pool, cpus, specs, workers):
         import durfee.conjecture as conjecture
 
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(conjecture.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(conjecture, "_usable_cpus", lambda: cpus)
         result = search(2, 2, 2, 1 + specs, jobs=10**6)
         assert result.scanned == specs
-        assert pools == ([] if workers is None else [workers])
+        assert inline_pool.workers == ([] if workers is None else [workers])
         monkeypatch.undo()
         assert result == search(2, 2, 2, 1 + specs)
+
+    @pytest.mark.parametrize(
+        "affinity, cpus, usable", [(1, 2, 1), (3, 8, 3), (None, None, 1), (None, 4, 4)]
+    )
+    def test_usable_cpus(self, monkeypatch, inline_pool, affinity, cpus, usable):
+        # the affinity mask, where the platform has one, wins over cpu_count(),
+        # so --jobs 8 on one allowed CPU scans in process
+        import durfee.conjecture as conjecture
+
+        monkeypatch.setattr(conjecture.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(conjecture.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(conjecture.os, "sched_getaffinity",
+                                lambda pid: set(range(affinity)), raising=False)
+        assert conjecture._usable_cpus() == usable
+        result = search(2, 2, 2, 6, jobs=8)
+        assert inline_pool.workers == ([] if usable == 1 else [usable])
+        monkeypatch.undo()
+        assert result == search(2, 2, 2, 6)
+
+    def test_pool_tasks_send_back_only_violations(self, monkeypatch, inline_pool):
+        import durfee.conjecture as conjecture
+
+        monkeypatch.setattr(conjecture, "_usable_cpus", lambda: 2)
+        result = search(2, 2, 2, 40, mode="full_grid", jobs=2)
+        returned = [item for task in inline_pool.returns for item in task]
+        assert all(type(item) is Violation for item in returned)
+        assert 0 < len(returned) < result.scanned
+        assert sorted(returned, key=conjecture._sort_key) == list(result.violations)
 
     def test_pool_keeps_a_bounded_window(self, monkeypatch):
         # an in-process pool whose tasks run when their result is read; at
@@ -409,7 +448,7 @@ class TestSearch:
                 return Task(fn, args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", WindowPool)
-        monkeypatch.setattr(conjecture.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(conjecture, "_usable_cpus", lambda: 2)
         result = search(2, 2, 2, 40, mode="full_grid", jobs=2)
         assert sum(submitted) == result.scanned == 780
         assert len(submitted) > 4
