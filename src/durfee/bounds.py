@@ -6,9 +6,7 @@ The central object is the exact rational
     S(n, r) = sum over weak compositions (k_1..k_r) of n of prod 1/(k_i+1)!,
 
 the limiting value of mu / p_g along equal degrees p -> infinity.  S(n, r)
-collapses to stirling2(n+r, r) * r! / (n+r)!, which gives the closed form
-
-    C(n, r) = binomial(n+r-1, n) * (n+r)! / (stirling2(n+r, r) * r!).
+collapses to the closed form stirling2(n+r, r) * r! / (n+r)!.
 
 C(n, 1) = (n+1)! recovers the classical strong Durfee coefficient; for
 fixed n the sequence is non-increasing in r and approaches 2^n from above.
@@ -102,9 +100,8 @@ def bound_coefficient(n: int, r: int) -> Fraction:
         raise ValueError("expected n >= 1 and r >= 1")
     value = _BOUND_COEFFICIENTS.get((n, r))
     if value is None:
-        value = _BOUND_COEFFICIENTS[n, r] = Fraction(
-            binomial(n + r - 1, n) * factorial(n + r), stirling2(n + r, r) * factorial(r)
-        )
+        value = binomial(n + r - 1, n) / stirling_factorial_sum(n, r)
+        _BOUND_COEFFICIENTS[n, r] = value
     return value
 
 

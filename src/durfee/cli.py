@@ -2,10 +2,10 @@
 
 Output discipline: every value is exact (integers plain, rationals as
 num/den in lowest terms); optional decimal columns are explicitly named
-approx_* and fixed to six digits.  For csv and json-lines the rows go to
-stdout and all metadata/notes go to stderr, so stdout is byte-identical
-across repeated runs and across --jobs counts.  Exit codes: 0 success,
-2 invalid input, 3 internal cross-check failure.
+approx_* and rounded in integers to six digits.  For csv and json-lines
+the rows go to stdout and all metadata/notes go to stderr, so stdout is
+byte-identical across repeated runs and across --jobs counts.  main() alone
+sets exit codes: 0 success, 2 bad or too large input, 3 cross-check failure.
 """
 
 from __future__ import annotations
@@ -80,8 +80,10 @@ class ReportDocument(NamedTuple):
         return [f"# note: {note() if callable(note) else note}" for note in self.notes]
 
 
-def _approx(x: Union[int, Fraction]) -> str:
-    return f"{float(x):.6f}"
+def _approx(x: Union[int, Fraction]) -> str:  # x >= 0, rounded half to even
+    whole, frac = divmod(round(x * 10**6), 10**6)
+    with unlimited_int_str():
+        return f"{whole}.{frac:06d}"
 
 
 def _flag(b: bool) -> str:
@@ -583,6 +585,9 @@ def main(argv=None) -> int:
         emit(doc, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:  # a size past what can be indexed or held
+        print(f"error: too large to compute: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except CrossCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)

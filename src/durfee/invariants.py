@@ -26,7 +26,6 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 
 from __future__ import annotations
 
-import sys
 from math import comb, prod
 from operator import getitem
 from typing import Callable, NamedTuple, Sequence
@@ -176,11 +175,6 @@ def _genus_series(spec: DegreeSpec) -> int:
     target = sum(spec.degrees) - spec.ambient_dim
     if target < 0:
         return 0
-    if target > sys.maxsize:
-        raise ValueError(
-            f"the dense z-series genus route (series_coeff) needs order {target}, "
-            "past the largest list index"
-        )
     num = TruncatedSeries([1], target)
     for p in spec.degrees:
         num = num * TruncatedSeries([1] + [0] * (p - 1) + [-1], target)

@@ -9,14 +9,17 @@ scoreboard even when something is red.  Stated runtime budgets are part of
 the criteria and are asserted alongside the mathematics.
 """
 
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import durfee
 from durfee import (
     DegreeSpec,
     balanced_min_product,
@@ -206,6 +209,8 @@ def test_criterion_11_deviation_strictly_decreasing(n, r):
 
 
 def test_criterion_12_parallel_search_is_byte_identical():
+    # the child imports the same durfee package as this test, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(durfee.__file__).resolve().parents[1])}
     base = [
         sys.executable,
         "-m",
@@ -225,6 +230,7 @@ def test_criterion_12_parallel_search_is_byte_identical():
                 base + ["--format", fmt, "--jobs", jobs],
                 capture_output=True,
                 check=True,
+                env=env,
             )
             for jobs in ("1", "8")
         ]

@@ -3,13 +3,16 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import durfee
+from durfee.bounds import bound_coefficient
 from durfee.cli import (
     ReportDocument,
+    _approx,
     _parse_degrees,
     _parse_int_list,
     _parse_span,
@@ -27,6 +30,61 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """main(argv) in a fresh interpreter whose address space is capped at 1 GiB.
+
+    A traceback would show on the child's stderr, and an allocation that
+    runs away fails there instead of in the test process.
+    """
+    src = str(Path(durfee.__file__).resolve().parents[1])
+    code = (
+        "import resource, sys; "
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS); "
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, hard)); "
+        "sys.path.insert(0, sys.argv[1]); from durfee.cli import main; "
+        "sys.exit(main(sys.argv[2:]))"
+    )
+    return subprocess.run(
+        [sys.executable, "-I", "-c", code, src, *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+# 20 digits: past every list index, so each use of it as a size fails at once
+PAST_INDEX = "1" + "0" * 19
+# an index, but 2^62 list entries cannot be held: [x] * n fails before allocating
+PAST_MEMORY = str(2**62)
+
+
+def contract_corpus():
+    """About 1,400 edge-case argvs; every size in them fails at once or is small."""
+    n_tokens = ["", "-1", "0", "1", "2", "\u0663", "1_0", PAST_INDEX]
+    degree_tokens = [
+        "", ",", "3,", ",3", "x", "3e2", "3.0", "3_3", "\u0663", "\uff13", "-3", "0",
+        "1", "1,1", "2", "3", "+3", " 3 ", "3,3", "5,5", "2,2,2", "1,3", "4,1,2",
+        "2,3,4,5", PAST_INDEX, f"{PAST_INDEX},7", PAST_MEMORY, f"{PAST_MEMORY},3",
+        f"3,{PAST_MEMORY}",
+    ]
+    for command in ("invariants", "verify"):
+        for n in n_tokens:
+            for degrees in degree_tokens:
+                yield [command, "--n", n, "--degrees", degrees]
+    order_tokens = ["0", "1", "2", PAST_INDEX]
+    # never lo..hi with a huge hi: every such spec would be computed
+    p_tokens = [
+        "", "x", "2", "3,5", "2..2", "2..4", "4..2", "1..3", "0..2", "2..", "..4",
+        "2..1_0", "\u0662..\u0664", f"{PAST_INDEX}..{PAST_INDEX}",
+    ]
+    for command in (["trace"], ["search"], ["search", "--full-grid"], ["search", "--jobs", "2"]):
+        for n in order_tokens:
+            for r in order_tokens:
+                for p in p_tokens:
+                    yield [*command, "--n", n, "--r", r, "--p", p]
+    for n_max in ("-1", "0", "1", "200"):
+        for r_max in ("-1", "0", "1", "2"):
+            yield ["bounds", "--n-max", n_max, "--r-max", r_max]
 
 
 class TestParsing:
@@ -290,6 +348,40 @@ class TestBoundsCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_coefficients_past_the_float_range(self, capsys):
+        # C(n, 1) = (n+1)! passes the largest float from n = 170 on
+        code, out, err = run_cli(
+            capsys, "bounds", "--n-max", "200", "--r-max", "2", "--format", "csv"
+        )
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 1 + 200 * 2
+        assert rows[1 + 14 * 2 + 1][:4] == ["15", "2", "11158821273600/257", "43419538029.571984"]
+
+
+class TestApprox:
+    def test_rounds_the_exact_value(self):
+        # the nearest float to C(15, 2) prints ...571983
+        assert _approx(bound_coefficient(15, 2)) == "43419538029.571984"
+        assert _approx(bound_coefficient(17, 2)) == "4176369018739.726027"
+        assert _approx(Fraction(1, 3)) == "0.333333"
+        assert _approx(7) == "7.000000"
+
+    def test_ties_round_half_to_even(self):
+        assert _approx(Fraction(1, 2 * 10**6)) == "0.000000"
+        assert _approx(Fraction(3, 2 * 10**6)) == "0.000002"
+
+    def test_whole_part_past_the_digit_limit(self):
+        text = _approx(10**5000 + Fraction(2, 3))
+        assert text == "1" + "0" * 5000 + ".666667"
+
+    def test_default_bounds_table_matches_the_float_text(self):
+        # every value of the default table is small enough for a float to round right
+        for n in range(1, 9):
+            for r in range(1, 13):
+                value = bound_coefficient(n, r)
+                assert _approx(value) == f"{float(value):.6f}"
+
 
 class TestSearchCommand:
     def test_equal_scan_table(self, capsys):
@@ -487,29 +579,61 @@ class TestExitCodes:
         assert "internal cross-check failure: boom" in err
 
     def test_degree_past_the_dense_series_index_exits_2(self, capsys):
-        # the z-series genus route would need a list of about 10^300 entries;
-        # checked in a fresh process, so a traceback would show on its stderr
+        # the z-series genus route would need a list of about 10^300 entries
         degrees = f"{10**300},7"
-        src = str(Path(durfee.__file__).resolve().parents[1])
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); from durfee.cli import main; "
-            "sys.exit(main(sys.argv[2:]))"
-        )
-        done = subprocess.run(
-            [sys.executable, "-I", "-c", code, src, "invariants", "--n", "2",
-             "--degrees", degrees],
-            capture_output=True, text=True, timeout=60,
-        )
+        done = run_fresh("invariants", "--n", "2", "--degrees", degrees)
         assert done.returncode == 2
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert done.stderr.count("\n") == 1
-        assert done.stderr.startswith("error: the dense z-series genus route (series_coeff)")
-        assert f"order {10**300 + 3}" in done.stderr
+        assert done.stderr.startswith("error: too large to compute: ")
         # verify does not take that route and still reports
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--degrees", degrees)
         assert code == 0, err
         assert "new-conjecture-holds" in out
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # MemoryError carries no message of its own
+            (["invariants", "--n", "2", "--degrees", PAST_MEMORY],
+             "error: too large to compute: out of memory\n"),
+            # raised in a worker and re-raised by .result(); the pool must shut down
+            (["search", "--n", PAST_INDEX, "--r", "1", "--p", "2..40", "--full-grid",
+              "--jobs", "2"], None),
+        ],
+        ids=["degree-past-memory", "pooled-search-past-index"],
+    )
+    def test_oversized_input_exits_2(self, argv, line):
+        done = run_fresh(*argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("error: too large to compute: ")
+        assert line is None or done.stderr == line
+
+    def test_every_corpus_argv_keeps_the_exit_code_contract(self, capsys):
+        escaped, broken = [], []
+        for argv in contract_corpus():
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+                capsys.readouterr()
+            except Exception as exc:
+                escaped.append((argv, repr(exc)))
+                continue
+            else:
+                out, err = capsys.readouterr()
+                # main's own failures are one error line and no report
+                if code == 2 and not (out == "" and err.count("\n") == 1
+                                      and err.startswith("error: ")):
+                    broken.append((argv, err))
+            if code not in (0, 2, 3):
+                broken.append((argv, code))
+        assert escaped == []
+        assert broken == []
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
