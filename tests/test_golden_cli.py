@@ -29,6 +29,8 @@ SPEC_DEGREES = ("3,3", "5", "3,2", "1,4", "2,2,2", "4,1,2,3")
 BAD_DEGREES = ("", "3,,4", "-3", "1,1", "x", " 3, 3", "+3,3", "3_3", "٣,٣")
 BOUNDS_LIMITS = ((1, 1), (3, 4), (4, 6), (0, 3), (2, 0))
 SEARCH_SHAPES = ((1, 2, "2..6"), (2, 2, "2..8"), (2, 3, "2..5"), (3, 1, "2..6"), (2, 1, "3..3"))
+# full grids whose lines (specs that share all but the last degree) hold several specs
+GRID_SHAPES = ((1, 4, "2..5"), (3, 3, "2..6"), (3, 4, "2..5"), (4, 2, "2..6"), (5, 3, "2..4"))
 BAD_SPANS = ("5..2", "1..4", "2-6", "x..4", "2..1_0", " 2 .. 5 ")
 # p = 2 gives pg = 0 for r = 1 and small n, so those points are excluded
 TRACE_SHAPES = ((2, 2, "3,10,50"), (3, 1, "2..6"), (2, 1, "2,3,4"), (1, 3, "2..5"))
@@ -65,6 +67,11 @@ def corpus() -> list[list[str]]:
         for n, r, points in TRACE_SHAPES + BAD_TRACES:
             argvs.append(["trace", "--n", str(n), "--r", str(r), "--p", points, *f])
     argvs.append(["selftest"])
+    for fmt in FORMATS:
+        for n, r, span in GRID_SHAPES:
+            for jobs in ("1", "2"):
+                argv = ["search", "--n", str(n), "--r", str(r), "--p", span, "--full-grid"]
+                argvs.append(argv + ["--jobs", jobs, "--format", fmt])
     return argvs
 
 
