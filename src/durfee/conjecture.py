@@ -6,10 +6,12 @@ C(n, r) from the bounds module, strict for surfaces with r >= 2 where the
 asymptotically sharp coefficient drops from 6 to below 36/7.  judge()
 compares agreed values of mu and p_g with both bounds in integers only and
 returns every per-spec value a report prints, verify() cross-checks mu and
-p_g first and judges them, search() walks a degree grid and reports
-violations deterministically, trace_ratio() reads mu / p_g off verify()'s
-verdicts, and the identity checks pin the exact linear relations between
-mu, p_g and the degree product that the verdicts rest on.
+p_g first and judges them, search() walks a degree grid by lines (the specs
+that share all degrees but the last, each route folding a line's leading
+degrees once) with the same cross-checks and verdicts as verify(), and
+reports violations deterministically, trace_ratio() reads mu / p_g off
+verify()'s verdicts, and the identity checks pin the exact linear relations
+between mu, p_g and the degree product that the verdicts rest on.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ from __future__ import annotations
 import os
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import balanced_min_product, bound_coefficient, min_product_bound
 from .exactmath import falling_factorial
 from .invariants import (
+    GENUS_STEPS,
     MILNOR_METHODS,
+    MILNOR_STEPS,
     DegreeSpec,
     agreed_value,
+    disagreement,
     geometric_genus,
     milnor_number,
 )
@@ -48,9 +53,8 @@ VERIFY_PG_METHODS = ("compositions", "inclusion_exclusion")
 _TWO, _FOUR, _SIX = Fraction(2), Fraction(4), Fraction(6)
 
 
-def _versus(mu: int, coeff, pg: int) -> str:
-    """mu against coeff * p_g for an int or Fraction coeff, compared in integers."""
-    lhs, rhs = mu * coeff.denominator, coeff.numerator * pg
+def _order(lhs: int, rhs: int) -> str:
+    """"<", "=" or ">" as lhs compares to rhs."""
     if lhs < rhs:
         return "<"
     if lhs == rhs:
@@ -134,13 +138,10 @@ def verify(spec: DegreeSpec) -> VerdictReport:
     return judge(spec, mu, pg)
 
 
-def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
-    """The verdict for one spec, given its already cross-checked mu and p_g.
-
-    Each comparison of mu against coefficient * p_g is made in integers, by
-    _versus(); only the reported values are Fractions.
-    """
-    n, r = spec.n, spec.r
+def _bound_terms(n: int, r: int) -> tuple:
+    """judge()'s constants for one (n, r): the applicable bound's name,
+    coefficient and strictness, C(n, r), (n+1)! and (-1)^n; each Fraction
+    coefficient is followed by its numerator and denominator."""
     ratio = bound_coefficient(n, r)
     if n == 1:
         name, coeff, strict = "curve-identity", _TWO, False
@@ -148,22 +149,40 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
         name, coeff, strict = "new-conjecture", _SIX if r == 1 else _FOUR, r > 1
     else:
         name, coeff, strict = "new-conjecture", ratio, False
-    comparison = _versus(mu, coeff, pg)
-    if n == 1:
+    return (
+        name, coeff, coeff.numerator, coeff.denominator, strict,
+        ratio, ratio.numerator, ratio.denominator, factorial(n + 1), (-1) ** n,
+    )
+
+
+def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
+    """The verdict for one spec, given its already cross-checked mu and p_g.
+
+    Each comparison of mu against coefficient * p_g is made in integers,
+    cross-multiplied by the coefficient's denominator; only the reported
+    values are Fractions.
+    """
+    return _judged(spec, mu, pg, _bound_terms(spec.n, spec.r))
+
+
+def _judged(spec: DegreeSpec, mu: int, pg: int, terms: tuple) -> VerdictReport:
+    """judge(), with the constants of spec's (n, r) from _bound_terms()."""
+    name, coeff, coeff_num, coeff_den, strict, ratio, ratio_num, ratio_den, strong, sign = terms
+    comparison = _order(mu * coeff_den, coeff_num * pg)
+    if spec.n == 1:
         holds = _curve_holds(spec, mu, pg)
         classification = IDENTITY_VERIFIED if holds else IDENTITY_FAILED
     else:
         holds = comparison == ">" or (not strict and comparison == "=")
         classification = CONJECTURE_HOLDS if holds else CONJECTURE_VIOLATED
-    strong = factorial(n + 1)
-    strong_comparison = _versus(mu, strong, pg)
+    strong_comparison = _order(mu, strong * pg)
     return VerdictReport(
         spec=spec,
         mu=mu,
         pg=pg,
         bound_name=name,
         bound_coefficient=coeff,
-        bound_value=Fraction(coeff.numerator * pg, coeff.denominator),
+        bound_value=Fraction(coeff_num * pg, coeff_den),
         strict=strict,
         comparison=comparison,
         classification=classification,
@@ -173,9 +192,9 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
             STRONG_VIOLATED if strong_comparison == "<" else STRONG_HOLDS
         ),
         coefficient_ratio=ratio,
-        coefficient_comparison=_versus(mu, ratio, pg),
-        coefficient_value=Fraction(ratio.numerator * pg, ratio.denominator),
-        chi=(-1) ** n * mu + 1,
+        coefficient_comparison=_order(mu * ratio_den, ratio_num * pg),
+        coefficient_value=Fraction(ratio_num * pg, ratio_den),
+        chi=sign * mu + 1,
     )
 
 
@@ -260,27 +279,85 @@ def degree_grid(r: int, p_min: int, p_max: int) -> Iterator[tuple[int, ...]]:
     return combinations_with_replacement(range(p_min, p_max + 1), r)
 
 
-def _violations(specs: Iterable[DegreeSpec]) -> list[Violation]:
-    """verify() over specs, keeping the verdicts that violate a bound, in order."""
+def _lines(r: int, p_min: int, p_max: int, mode: str) -> Iterable[tuple]:
+    """The grid as lines, in grid order: (leading degrees, range of the last degree).
+
+    A line holds the specs that share all degrees but the last.
+    """
+    if mode == "equal_degrees":
+        return (((p,) * (r - 1), range(p, p + 1)) for p in range(p_min, p_max + 1))
+    if r == 1:
+        return [((), range(p_min, p_max + 1))]
+    return (
+        (leading, range(leading[-1], p_max + 1))
+        for leading in degree_grid(r - 1, p_min, p_max)
+    )
+
+
+def _agreed_last(folds, p: int, n: int, leading: tuple[int, ...], label: str) -> int:
+    """The value every route's last step gives for degree p; raises as agreed_value() does."""
+    values = [last(state, p) for _, last, state in folds]
+    if values.count(values[0]) != len(values):
+        spec = DegreeSpec(n, leading + (p,))
+        raise disagreement(label, spec, {m: v for (m, _, _), v in zip(folds, values)})
+    return values[0]
+
+
+def _line_violations(n: int, r: int, lines: Iterable[tuple]) -> list[Violation]:
+    """The violations on the given lines, in grid order.
+
+    Each route folds a line's leading degrees once and finishes every spec
+    of the line with one last-degree step; both routes of each invariant
+    are compared at every spec before it is judged.
+    """
+    mu_steps = [(m, *MILNOR_STEPS[m]) for m in MILNOR_METHODS]
+    pg_steps = [(m, *GENUS_STEPS[m]) for m in VERIFY_PG_METHODS]
+    terms = None
     violations = []
-    for verdict in map(verify, specs):
-        kinds = ()
-        if verdict.strong_classification == STRONG_VIOLATED:
-            kinds += ("strong-durfee",)
-        if verdict.spec.n == 2 and verdict.coefficient_comparison == "<":
-            kinds += ("coefficient-bound",)
-        if kinds:
-            violations.append(Violation(verdict=verdict, kinds=kinds))
+    for leading, last_degrees in lines:
+        mu_folds = [(m, last, prefix(n, r, leading)) for m, prefix, last in mu_steps]
+        pg_folds = [(m, last, prefix(n, r, leading)) for m, prefix, last in pg_steps]
+        if terms is None:
+            # only after the first folds: they fail at once on an n or r too
+            # large to compute, where C(n, r) would run for as long as r
+            terms = _bound_terms(n, r)
+        for p in last_degrees:
+            mu = _agreed_last(mu_folds, p, n, leading, "milnor")
+            pg = _agreed_last(pg_folds, p, n, leading, "genus")
+            verdict = _judged(DegreeSpec._normal(n, leading + (p,)), mu, pg, terms)
+            kinds = ()
+            if verdict.strong_classification == STRONG_VIOLATED:
+                kinds += ("strong-durfee",)
+            if n == 2 and verdict.coefficient_comparison == "<":
+                kinds += ("coefficient-bound",)
+            if kinds:
+                violations.append(Violation(verdict=verdict, kinds=kinds))
     return violations
 
 
-def _pooled_violations(pool, specs: Iterator[DegreeSpec], chunk: int, window: int):
-    """_violations() over specs on the pool, in order, with at most window tasks in flight."""
+def _batches(lines: Iterable[tuple], size: int) -> Iterator[list[tuple]]:
+    """The lines in order, cut and grouped into batches of size specs (the last may hold fewer)."""
+    batch, room = [], size
+    for leading, last_degrees in lines:
+        while last_degrees:
+            piece = last_degrees[:room]
+            batch.append((leading, piece))
+            last_degrees = last_degrees[len(piece):]
+            room -= len(piece)
+            if not room:
+                yield batch
+                batch, room = [], size
+    if batch:
+        yield batch
+
+
+def _pooled_violations(pool, n: int, r: int, batches: Iterator[list], window: int):
+    """_line_violations() of each batch on the pool, in order, at most window tasks in flight."""
     pending = deque()
-    for batch in iter(lambda: list(islice(specs, chunk)), []):
+    for batch in batches:
         if len(pending) == window:
             yield from pending.popleft().result()
-        pending.append(pool.submit(_violations, batch))
+        pending.append(pool.submit(_line_violations, n, r, batch))
     while pending:
         yield from pending.popleft().result()
 
@@ -308,11 +385,13 @@ def search(
     """Scan a degree grid for bound violations, deterministically.
 
     Reports every strong-Durfee violation (mu < (n+1)! p_g) and, for
-    surfaces, every violation of mu >= C(2, r) p_g.  The outcome does not
-    depend on jobs: workers verify their specs and send back only the
-    violations, which are merged in grid order.  The pool never has more
-    workers than there are specs or CPUs this process may use, and with
-    one worker the scan runs in process.
+    surfaces, every violation of mu >= C(2, r) p_g.  The grid is walked by
+    lines; every spec's mu and p_g are cross-checked on the routes verify()
+    takes and judged as verify() judges them.  The outcome does not depend
+    on jobs: workers take batches of lines, at most 256 specs each, and
+    send back only the violations, which are merged in grid order.  The
+    pool never has more workers than there are specs or CPUs this process
+    may use, and with one worker the scan runs in process.
     """
     if n < 1 or r < 1:
         raise ValueError("expected n >= 1 and r >= 1")
@@ -325,20 +404,20 @@ def search(
 
     if mode == "equal_degrees":
         scanned = p_max - p_min + 1
-        specs = (DegreeSpec(n, (p,) * r) for p in range(p_min, p_max + 1))
     else:
         scanned = comb(p_max - p_min + r, r)
-        specs = (DegreeSpec(n, degrees) for degrees in degree_grid(r, p_min, p_max))
+    lines = _lines(r, p_min, p_max, mode)
 
     workers = min(jobs, _usable_cpus(), scanned)
     if workers == 1:
-        violations = _violations(specs)
+        violations = _line_violations(n, r, lines)
     else:
         from concurrent.futures import ProcessPoolExecutor  # heavy, so only here
         # at most 256 specs a task and two tasks a worker in flight
         chunk = min(max(1, scanned // (4 * workers)), 256)
+        batches = _batches(lines, chunk)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            violations = list(_pooled_violations(pool, specs, chunk, 2 * workers))
+            violations = list(_pooled_violations(pool, n, r, batches, 2 * workers))
 
     violations.sort(key=_sort_key)
     return SearchResult(

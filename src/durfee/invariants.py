@@ -16,7 +16,12 @@ genuinely different exact computations:
 
 Each route is implemented independently so any one can certify another;
 agreed_value() runs a set of routes and returns the one value they agree
-on, or raises CrossCheckError naming every route's value.
+on, or raises CrossCheckError naming every route's value.  Every route but
+the dense z-series one is a fold over the degrees, split into a prefix step
+over all degrees but the last and a last-degree step (MILNOR_STEPS,
+GENUS_STEPS): a spec's value is last(prefix(n, r, degrees[:-1]),
+degrees[-1]), and a grid search reuses one prefix for a whole line of
+specs that differ only in their last degree.
 
 A degree equal to 1 is a hyperplane and does not change the germ, only the
 ambient dimension, and every formula here is symmetric in the degrees; so
@@ -26,6 +31,7 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb, prod
 from operator import getitem
 from typing import Callable, NamedTuple, Sequence
@@ -79,6 +85,11 @@ class DegreeSpec(_DegreeSpecFields):
     def _make(cls, iterable) -> DegreeSpec:  # so _replace() normalises as well
         return cls(*iterable)
 
+    @classmethod
+    def _normal(cls, n: int, degrees: tuple[int, ...]) -> DegreeSpec:
+        """The spec of a valid n and degrees already in normal form, unchecked."""
+        return tuple.__new__(cls, (n, degrees))
+
     @property
     def r(self) -> int:
         return len(self.degrees)
@@ -92,39 +103,142 @@ class DegreeSpec(_DegreeSpecFields):
         return prod(self.degrees)
 
 
-def _milnor_closed_sum(spec: DegreeSpec) -> int:
-    """P sum_j (-1)^j h_(n-j)(p - 1) - (-1)^n, with h the complete symmetric sum.
+# Each split route is a fold over the degrees: prefix(n, r, leading) folds
+# all degrees but the last into a state, and last(state, p) finishes the
+# value with the last degree p.  A spec's value is last(prefix(n, r,
+# degrees[:-1]), degrees[-1]); a search folds the degrees a line of specs
+# shares once and finishes each spec with one last step.  No state is
+# mutated by last, so one prefix serves every spec of its line.
 
-    h_k(p - 1) is [x^k] prod_i 1 / (1 - (p_i - 1) x); each factor multiplies
-    in place on integers, so the whole sum is O(r n).
+
+def _closed_sum_prefix(n: int, r: int, leading: Sequence[int]):
+    """h_k(p - 1) for k <= n, [x^k] prod_i 1 / (1 - (p_i - 1) x), and prod p_i.
+
+    Each factor multiplies in place on integers, so the fold is O(r n).
     """
-    n = spec.n
     h = [1] + [0] * n
-    for p in spec.degrees:
+    for p in leading:
         for k in range(1, n + 1):
             h[k] += (p - 1) * h[k - 1]
-    alternating = 0
-    for c in h:
-        alternating = c - alternating
-    return spec.degree_product * alternating - (-1) ** n
+    return h, prod(leading)
 
 
-def _chi_series(spec: DegreeSpec) -> int:
-    """Euler characteristic of the Milnor fiber, [x^n] (1+x)^N / prod(1 + p x).
+def _closed_sum_last(state, p: int) -> int:
+    """P sum_j (-1)^j h_(n-j)(p - 1) - (-1)^n, one more h step folded in on the way."""
+    h, product = state
+    hk = alternating = 1
+    for c in islice(h, 1, None):
+        hk = c + (p - 1) * hk
+        alternating = hk - alternating
+    return product * p * alternating - (-1) ** (len(h) - 1)
+
+
+def _series_prefix(n: int, r: int, leading: Sequence[int]):
+    """[x^k] (1+x)^N / prod_i (1 + p_i x) for k <= n, and prod p_i.
 
     Each division by 1 + p x runs in place on integers; it is exact because
     the constant term is 1.
     """
-    c = [comb(spec.ambient_dim, k) for k in range(spec.n + 1)]
-    for p in spec.degrees:
-        for k in range(1, spec.n + 1):
+    c = [comb(n + r, k) for k in range(n + 1)]
+    for p in leading:
+        for k in range(1, n + 1):
             c[k] -= p * c[k - 1]
-    return spec.degree_product * c[-1]
+    return c, prod(leading)
+
+
+def _chi_last(state, p: int) -> int:
+    """Euler characteristic of the Milnor fiber, [x^n] (1+x)^N / prod(1 + p x)."""
+    c, product = state
+    top = c[0]
+    for ck in islice(c, 1, None):
+        top = ck - p * top
+    return product * p * top
+
+
+def _series_last(state, p: int) -> int:
+    chi = _chi_last(state, p)
+    return chi - 1 if len(state[0]) % 2 else 1 - chi
+
+
+def _compositions_prefix(n: int, r: int, leading: Sequence[int]) -> list[int]:
+    """Sum of prod_(i<r) C(p_i, k_i+1) over the compositions k of n, by last part k_r.
+
+    A walk over the compositions on purpose: the kernel form of this sum is
+    the genus route of the benchmark's independent reference.
+    """
+    by_last = [0] * (n + 1)
+    tables = [[comb(p, k + 1) for k in range(n + 1)] for p in leading]
+    for comp in compositions(n, r):
+        # map stops at the shorter: the tables leave out the last part
+        by_last[comp[-1]] += prod(map(getitem, tables, comp))
+    return by_last
+
+
+def _compositions_last(by_last: list[int], p: int) -> int:
+    return sum(s * comb(p, k + 1) for k, s in enumerate(by_last) if s)
+
+
+def _grown(counts: dict[int, int], p: int) -> dict[int, int]:
+    """Signed subset-sum counts with one more degree p, each new subset an old one plus p."""
+    grown = dict(counts)
+    for subset_sum, count in counts.items():
+        grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
+    return grown
+
+
+def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int]):
+    """The leading degrees' signed subset-sum counts, N and the degree sum so far.
+
+    The genus is a signed count of monomials of degree sum(p) - N in N
+    variables, with exponents capped by inclusion-exclusion over the
+    degrees; a subset's term depends only on its sum and the sign of its
+    size, so subsets are counted by sum with the sign carried in the count.
+    """
+    counts = {0: 1}
+    for p in leading:
+        counts = _grown(counts, p)
+    return n + r, sum(leading), counts
+
+
+def _inclusion_exclusion_last(state, p: int) -> int:
+    # with the last degree p a sum s counts counts[s] - counts[s - p], and a
+    # sum s + p not in the table counts -counts[s]; sums whose subsets
+    # cancel cost no binomial
+    N, total, counts = state
+    top = total + p
+    shifted = counts.get
+    value = 0
+    for subset_sum, count in counts.items():
+        merged = count - shifted(subset_sum - p, 0)
+        if merged:
+            value += merged * binomial(top - subset_sum, N)
+        if count and subset_sum + p not in counts:
+            value -= count * binomial(top - subset_sum - p, N)
+    return value
+
+
+# route -> (prefix, last), for every route but the dense series_coeff
+MILNOR_STEPS = {
+    "closed_sum": (_closed_sum_prefix, _closed_sum_last),
+    "series": (_series_prefix, _series_last),
+}
+GENUS_STEPS = {
+    "compositions": (_compositions_prefix, _compositions_last),
+    "inclusion_exclusion": (_inclusion_exclusion_prefix, _inclusion_exclusion_last),
+}
+
+
+def _folded(steps, spec: DegreeSpec) -> int:
+    prefix, last = steps
+    return last(prefix(spec.n, spec.r, spec.degrees[:-1]), spec.degrees[-1])
+
+
+def _milnor_closed_sum(spec: DegreeSpec) -> int:
+    return _folded(MILNOR_STEPS["closed_sum"], spec)
 
 
 def _milnor_series(spec: DegreeSpec) -> int:
-    chi = _chi_series(spec)
-    return chi - 1 if spec.n % 2 == 0 else 1 - chi
+    return _folded(MILNOR_STEPS["series"], spec)
 
 
 def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
@@ -138,37 +252,15 @@ def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
 
 def milnor_fiber_euler(spec: DegreeSpec) -> int:
     """Euler characteristic of the Milnor fiber; equals (-1)^n mu + 1."""
-    return _chi_series(spec)
+    return _folded((_series_prefix, _chi_last), spec)
 
 
 def _genus_compositions(spec: DegreeSpec) -> int:
-    # a walk over the compositions on purpose: the kernel form of this sum is
-    # the genus route of the benchmark's independent reference
-    tables = [[comb(p, k + 1) for k in range(spec.n + 1)] for p in spec.degrees]
-    return sum(
-        prod(map(getitem, tables, comp)) for comp in compositions(spec.n, spec.r)
-    )
+    return _folded(GENUS_STEPS["compositions"], spec)
 
 
 def _genus_inclusion_exclusion(spec: DegreeSpec) -> int:
-    # signed count of monomials of degree sum(p) - N in N variables, with
-    # exponents capped by inclusion-exclusion over the degrees; a subset's
-    # term depends only on its sum and the sign of its size, so subsets are
-    # counted by sum with the sign carried in the count, and subsets that
-    # cancel cost no binomial
-    counts = {0: 1}
-    for p in spec.degrees:
-        grown = dict(counts)
-        for subset_sum, count in counts.items():
-            grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
-        counts = grown
-    N = spec.ambient_dim
-    total_degree = sum(spec.degrees)
-    return sum(
-        count * binomial(total_degree - subset_sum, N)
-        for subset_sum, count in counts.items()
-        if count
-    )
+    return _folded(GENUS_STEPS["inclusion_exclusion"], spec)
 
 
 def _genus_series(spec: DegreeSpec) -> int:
@@ -217,10 +309,15 @@ def agreed_value(
     """
     values = {m: compute(spec, m) for m in methods}
     if len(set(values.values())) != 1:
-        with unlimited_int_str():
-            message = f"{label} methods disagree for {spec}: {values}"
-        raise CrossCheckError(message)
+        raise disagreement(label, spec, values)
     return values[methods[0]]
+
+
+def disagreement(label: str, spec: DegreeSpec, values: dict[str, int]) -> CrossCheckError:
+    """The CrossCheckError for routes that disagree, naming the spec and every route's value."""
+    with unlimited_int_str():
+        message = f"{label} methods disagree for {spec}: {values}"
+    return CrossCheckError(message)
 
 
 def invariant_report(spec: DegreeSpec) -> InvariantReport:

@@ -427,6 +427,25 @@ class TestSearchCommand:
         )
         assert serial == parallel
 
+    def test_route_disagreement_exits_3(self, capsys, monkeypatch):
+        # one route's last-degree step off by one: the line walk compares
+        # both routes at every spec, so the first spec already fails
+        import durfee.invariants as invariants
+
+        prefix, last = invariants.MILNOR_STEPS["series"]
+        monkeypatch.setitem(
+            invariants.MILNOR_STEPS, "series", (prefix, lambda state, p: last(state, p) + 1)
+        )
+        code, out, err = run_cli(
+            capsys, "search", "--n", "2", "--r", "3", "--p", "2..5", "--full-grid"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "internal cross-check failure: milnor methods disagree for "
+            "DegreeSpec(n=2, degrees=(2, 2, 2)): {'closed_sum': 31, 'series': 32}\n"
+        )
+
     def test_equal_flag_is_gone(self, capsys):
         # equal degrees are the default, and there is no flag that selects them
         with pytest.raises(SystemExit) as exc:

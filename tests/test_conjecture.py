@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from durfee import (
     MILNOR_METHODS,
     CrossCheckError,
     DegreeSpec,
+    SearchResult,
     binomial,
     curve_identity,
     degree_grid,
@@ -32,7 +34,7 @@ from durfee.conjecture import (
     STRONG_VIOLATED,
     VERIFY_PG_METHODS,
     Violation,
-    _versus,
+    _order,
     judge,
 )
 
@@ -63,6 +65,43 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return seen
+
+
+def _search_shapes():
+    """Seeded (n, r, p_min, p_max): n <= 6, r <= 5, spans <= 8, with r = 1
+    (no leading degrees) and p_min = p_max among them."""
+    rng = random.Random(16)
+    shapes = [(1, 1, 2, 9), (3, 1, 4, 4), (2, 3, 5, 5), (6, 2, 2, 2)]
+    for _ in range(12):
+        n, r, p_min = rng.randint(1, 6), rng.randint(1, 5), rng.randint(2, 6)
+        shapes.append((n, r, p_min, p_min + rng.randint(0, 7)))
+    return shapes
+
+
+SEARCH_SHAPES = _search_shapes()
+
+
+def search_oracle(n, r, p_min, p_max, mode):
+    """search() rebuilt from per-spec verify(), the violation filter and the sort."""
+    if mode == "full_grid":
+        grid = list(combinations_with_replacement(range(p_min, p_max + 1), r))
+    else:
+        grid = [(p,) * r for p in range(p_min, p_max + 1)]
+    violations = []
+    for degrees in grid:
+        verdict = verify(DegreeSpec(n, degrees))
+        kinds = ()
+        if verdict.strong_comparison == "<":
+            kinds += ("strong-durfee",)
+        if n == 2 and verdict.coefficient_comparison == "<":
+            kinds += ("coefficient-bound",)
+        if kinds:
+            violations.append(Violation(verdict, kinds))
+    violations.sort(key=lambda v: (sum(v.verdict.spec.degrees), v.verdict.spec.degrees))
+    return SearchResult(
+        n, r, p_min, p_max, mode, len(grid), tuple(violations),
+        violations[0] if violations else None,
+    )
 
 
 class TestVerify:
@@ -147,12 +186,16 @@ class TestVerify:
             trace_ratio(2, 2, (3,))
 
     def test_compare_helper(self):
-        assert _versus(6, Fraction(6), 1) == "="
-        assert _versus(5, Fraction(6), 1) == "<"
-        assert _versus(7, 6, 1) == ">"
+        # judge() compares mu against coefficient * p_g in integers: the
+        # strong coefficient of surfaces is 6, and C(2, 2) = 36/7
+        spec = DegreeSpec(2, (3, 3))
+        assert judge(spec, 6, 1).strong_comparison == "="
+        assert judge(spec, 5, 1).strong_comparison == "<"
+        assert judge(spec, 7, 1).strong_comparison == ">"
         # 77 * 7 = 539 against 36 * 15 = 540
-        assert _versus(77, Fraction(36, 7), 15) == "<"
-        assert _versus(78, Fraction(36, 7), 15) == ">"
+        assert judge(spec, 77, 15).coefficient_comparison == "<"
+        assert judge(spec, 78, 15).coefficient_comparison == ">"
+        assert [_order(*pair) for pair in ((1, 2), (2, 2), (3, 2))] == ["<", "=", ">"]
 
 
 class TestRecords:
@@ -444,14 +487,15 @@ class TestSearch:
                 return False
 
             def submit(self, fn, *args):
-                submitted.append(len(args[0]))
+                # a task is a batch of (leading degrees, last degrees) pieces of lines
+                submitted.append(sum(len(last) for _, last in args[-1]))
                 return Task(fn, args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", WindowPool)
         monkeypatch.setattr(conjecture, "_usable_cpus", lambda: 2)
         result = search(2, 2, 2, 40, mode="full_grid", jobs=2)
         assert sum(submitted) == result.scanned == 780
-        assert len(submitted) > 4
+        assert len(submitted) > 4 and max(submitted) <= 256
         assert peak[0] == 4
         assert not outstanding
         monkeypatch.undo()
@@ -464,31 +508,95 @@ class TestSearch:
         assert search(n, r, p_min, p_max).scanned == span
 
     @pytest.mark.parametrize("mode", ["full_grid", "equal_degrees"])
-    def test_one_worker_streams_each_spec_once_in_grid_order(self, monkeypatch, mode):
-        # each spec is built, verified and dropped before the next is built
+    def test_line_walk_visits_each_spec_once_in_grid_order(self, monkeypatch, mode):
+        # every route folds a line's leading degrees once and takes one last
+        # step per spec; each spec is judged once, right after its last steps
         import durfee.conjecture as conjecture
+        import durfee.invariants as invariants
 
         events = []
 
-        def built(n, degrees):
-            events.append(("spec", tuple(degrees)))
-            return DegreeSpec(n, degrees)
+        def recorded(table, route):
+            prefix, last = table[route]
 
-        def verified(spec):
-            events.append(("verify", spec.degrees))
-            return verify(spec)
+            def traced_prefix(n, r, leading):
+                events.append(("prefix", route, leading))
+                return prefix(n, r, leading)
 
-        monkeypatch.setattr(conjecture, "DegreeSpec", built)
-        monkeypatch.setattr(conjecture, "verify", verified)
+            def traced_last(state, p):
+                events.append(("last", route, p))
+                return last(state, p)
+
+            monkeypatch.setitem(table, route, (traced_prefix, traced_last))
+
+        for route in MILNOR_METHODS:
+            recorded(invariants.MILNOR_STEPS, route)
+        for route in VERIFY_PG_METHODS:
+            recorded(invariants.GENUS_STEPS, route)
+        judged = conjecture._judged
+
+        def judging(spec, mu, pg, terms):
+            events.append(("judge", spec.degrees))
+            return judged(spec, mu, pg, terms)
+
+        monkeypatch.setattr(conjecture, "_judged", judging)
         result = search(2, 3, 2, 5, mode=mode)
         if mode == "full_grid":
             grid = list(degree_grid(3, 2, 5))
         else:
             grid = [(p,) * 3 for p in range(2, 6)]
-        assert events == [(kind, d) for d in grid for kind in ("spec", "verify")]
+        routes = MILNOR_METHODS + VERIFY_PG_METHODS
+        expected, leading = [], None
+        for degrees in grid:
+            if degrees[:-1] != leading:
+                leading = degrees[:-1]
+                expected += [("prefix", route, leading) for route in routes]
+            expected += [("last", route, degrees[-1]) for route in routes]
+            expected.append(("judge", degrees))
+        assert events == expected
         assert result.scanned == len(grid)
         monkeypatch.undo()
         assert result == search(2, 3, 2, 5, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["full_grid", "equal_degrees"])
+    @pytest.mark.parametrize("n, r, p_min, p_max", SEARCH_SHAPES)
+    def test_search_matches_per_spec_verify(self, n, r, p_min, p_max, mode):
+        assert search(n, r, p_min, p_max, mode=mode) == search_oracle(n, r, p_min, p_max, mode)
+
+    @pytest.mark.parametrize("n, r, p_min, p_max", SEARCH_SHAPES[::3])
+    def test_pooled_batches_cut_lines_and_keep_the_result(
+        self, monkeypatch, inline_pool, n, r, p_min, p_max
+    ):
+        import durfee.conjecture as conjecture
+
+        monkeypatch.setattr(conjecture, "_usable_cpus", lambda: 2)
+        result = search(n, r, p_min, p_max, mode="full_grid", jobs=2)
+        assert result == search_oracle(n, r, p_min, p_max, "full_grid")
+
+    def test_batches_hold_size_specs_in_grid_order(self):
+        import durfee.conjecture as conjecture
+
+        lines = list(conjecture._lines(3, 2, 9, "full_grid"))
+        batches = list(conjecture._batches(iter(lines), 7))
+        sizes = [sum(len(last) for _, last in batch) for batch in batches]
+        assert sizes[:-1] == [7] * (len(sizes) - 1) and 0 < sizes[-1] <= 7
+        walked = [lead + (p,) for batch in batches for lead, last in batch for p in last]
+        assert walked == list(degree_grid(3, 2, 9))
+
+    def test_route_disagreement_names_the_spec_and_both_values(self, monkeypatch):
+        import durfee.invariants as invariants
+
+        prefix, last = invariants.GENUS_STEPS["inclusion_exclusion"]
+        monkeypatch.setitem(
+            invariants.GENUS_STEPS, "inclusion_exclusion",
+            (prefix, lambda state, p: last(state, p) + (p == 4)),
+        )
+        with pytest.raises(CrossCheckError) as info:
+            search(2, 2, 2, 5, mode="full_grid")
+        assert str(info.value) == (
+            "genus methods disagree for DegreeSpec(n=2, degrees=(2, 4)): "
+            "{'compositions': 14, 'inclusion_exclusion': 15}"
+        )
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):

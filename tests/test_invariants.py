@@ -18,6 +18,7 @@ from durfee import (
     milnor_number,
 )
 from durfee.conjecture import judge
+from durfee.invariants import GENUS_STEPS, MILNOR_STEPS
 
 from _oracles import (
     equal_degree_genus,
@@ -456,3 +457,48 @@ class TestInvariantReport:
             "genus methods disagree for DegreeSpec(n=2, degrees=(3, 3)): "
             "{'compositions': 15, 'inclusion_exclusion': 15, 'series_coeff': -1}"
         )
+
+
+def _line_shapes():
+    """Seeded lines (n, leading degrees, last degrees): n <= 6, r <= 5, spans <= 8.
+
+    A line with no leading degrees (r = 1) and a line of one spec are among them.
+    """
+    rng = random.Random(1978)
+    shapes = [(2, (), range(2, 10)), (4, (), range(3, 4)), (6, (2, 3, 3, 4), range(4, 5))]
+    for _ in range(13):
+        n, r = rng.randint(1, 6), rng.randint(1, 5)
+        leading = tuple(sorted(rng.randint(2, 7) for _ in range(r - 1)))
+        first = leading[-1] if leading else rng.randint(2, 7)
+        shapes.append((n, leading, range(first, first + rng.randint(1, 8))))
+    return shapes
+
+
+class TestSplitRoutes:
+    ORACLES = {
+        "closed_sum": milnor_brute,
+        "series": milnor_brute,
+        "compositions": genus_brute,
+        "inclusion_exclusion": lambda n, degrees: genus_series_brute(degrees, n),
+    }
+
+    def test_every_route_but_the_dense_series_is_split(self):
+        assert set(MILNOR_STEPS) == set(MILNOR_METHODS)
+        assert set(GENUS_STEPS) == set(GENUS_METHODS) - {"series_coeff"}
+
+    @pytest.mark.parametrize("n, leading, last_degrees", _line_shapes())
+    def test_last_of_prefix_matches_the_brute_oracles(self, n, leading, last_degrees):
+        # one fold of the leading degrees serves every spec of the line
+        r = len(leading) + 1
+        expected = {}
+        for route, (prefix, last) in {**MILNOR_STEPS, **GENUS_STEPS}.items():
+            oracle = self.ORACLES[route]
+            state = prefix(n, r, leading)
+            for p in last_degrees:
+                degrees = leading + (p,)
+                if (oracle, p) not in expected:
+                    expected[oracle, p] = oracle(n, degrees)
+                assert last(state, p) == expected[oracle, p], (route, degrees)
+        for p in last_degrees:
+            spec = DegreeSpec(n, leading + (p,))
+            assert milnor_fiber_euler(spec) == euler_brute(n, spec.degrees)
