@@ -103,12 +103,8 @@ class DegreeSpec(_DegreeSpecFields):
         return prod(self.degrees)
 
 
-# Each split route is a fold over the degrees: prefix(n, r, leading) folds
-# all degrees but the last into a state, and last(state, p) finishes the
-# value with the last degree p.  A spec's value is last(prefix(n, r,
-# degrees[:-1]), degrees[-1]); a search folds the degrees a line of specs
-# shares once and finishes each spec with one last step.  No state is
-# mutated by last, so one prefix serves every spec of its line.
+# The split routes: no last step mutates its state, so one prefix serves
+# every spec of a line.
 
 
 def _closed_sum_prefix(n: int, r: int, leading: Sequence[int]):
@@ -178,14 +174,6 @@ def _compositions_last(by_last: list[int], p: int) -> int:
     return sum(s * comb(p, k + 1) for k, s in enumerate(by_last) if s)
 
 
-def _grown(counts: dict[int, int], p: int) -> dict[int, int]:
-    """Signed subset-sum counts with one more degree p, each new subset an old one plus p."""
-    grown = dict(counts)
-    for subset_sum, count in counts.items():
-        grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
-    return grown
-
-
 def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int]):
     """The leading degrees' signed subset-sum counts, N and the degree sum so far.
 
@@ -196,7 +184,10 @@ def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int]):
     """
     counts = {0: 1}
     for p in leading:
-        counts = _grown(counts, p)
+        grown = dict(counts)
+        for subset_sum, count in counts.items():
+            grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
+        counts = grown
     return n + r, sum(leading), counts
 
 
