@@ -14,7 +14,7 @@ import argparse
 import io
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Callable, NamedTuple, Sequence, Union
 
 from . import __version__
@@ -32,6 +32,7 @@ from .bounds import (
     stirling_factorial_sum,
 )
 from .conjecture import (
+    bound_terms,
     curve_identity,
     hypersurface_identity,
     judge,
@@ -91,7 +92,7 @@ def _flag(b: bool) -> str:
 
 
 def _degrees_cell(degrees: Sequence[int]) -> str:
-    return ",".join(str(p) for p in degrees)
+    return ",".join(map(str, degrees))
 
 
 def render_table(doc: ReportDocument) -> str:
@@ -326,27 +327,38 @@ def cmd_bounds(args) -> ReportDocument:
     )
 
 
+def _quotient_cell(num: int, den: int) -> str:
+    """num/den in lowest terms, as str(Fraction(num, den)) writes it; den > 0."""
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def cmd_search(args) -> ReportDocument:
     p_min, p_max = _parse_span(args.p)
     mode = "full_grid" if args.full_grid else "equal_degrees"
     result = search(args.n, args.r, p_min, p_max, mode=mode, jobs=args.jobs)
+    n, r = result.n, result.r
     rows: list[tuple[Cell, ...]] = []
-    for violation in result.violations:
-        v = violation.verdict
-        rows.append((
-            v.spec.n,
-            v.spec.r,
-            _degrees_cell(v.spec.degrees),
-            v.mu,
-            v.pg,
-            "+".join(violation.kinds),
-            v.strong_value,
-            v.bound_value,
-            v.coefficient_value,
-        ))
+    if result.violations:
+        _, _, coeff_num, coeff_den, _, _, ratio_num, ratio_den, strong, _ = bound_terms(n, r)
+        with unlimited_int_str():  # the bound cells are text, and may be long
+            for v in result.violations:
+                pg = v.pg
+                rows.append((
+                    n,
+                    r,
+                    _degrees_cell(v.spec.degrees),
+                    v.mu,
+                    pg,
+                    "+".join(v.kinds),
+                    str(strong * pg),
+                    _quotient_cell(coeff_num * pg, coeff_den),
+                    _quotient_cell(ratio_num * pg, ratio_den),
+                ))
     notes = [f"scanned {result.scanned} specs, {len(result.violations)} violations"]
     if result.minimal is not None:
-        m = result.minimal.verdict
+        m = result.minimal
         notes.append(
             lambda: f"minimal violation: degrees {_degrees_cell(m.spec.degrees)} "
             f"(mu {m.mu}, pg {m.pg})"

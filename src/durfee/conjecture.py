@@ -7,11 +7,13 @@ asymptotically sharp coefficient drops from 6 to below 36/7.  judge()
 compares agreed values of mu and p_g with both bounds in integers only and
 returns every per-spec value a report prints, verify() cross-checks mu and
 p_g first and judges them, search() walks a degree grid by lines (the specs
-that share all degrees but the last, each route folding a line's leading
-degrees once) with the same cross-checks and verdicts as verify(), and
-reports violations deterministically, trace_ratio() reads mu / p_g off
-verify()'s verdicts, and the identity checks pin the exact linear relations
-between mu, p_g and the degree product that the verdicts rest on.
+that share all degrees but the last: each route folds a line's leading
+degrees once and finishes the whole line in one step) with the same
+cross-checks as verify(), keeps a lean Violation (spec, mu, p_g, kinds) for
+each spec that fails an integer comparison, and reports them
+deterministically, trace_ratio() reads mu / p_g off verify()'s verdicts,
+and the identity checks pin the exact linear relations between mu, p_g and
+the degree product that the verdicts rest on.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .invariants import (
     MILNOR_METHODS,
     MILNOR_STEPS,
     DegreeSpec,
+    LineTables,
     agreed_value,
     disagreement,
     geometric_genus,
@@ -96,8 +99,21 @@ class VerdictReport(NamedTuple):
 
 
 class Violation(NamedTuple):
-    verdict: VerdictReport
+    """A spec that violates a bound, with its cross-checked mu and p_g.
+
+    `kinds` names the bounds it violates, "strong-durfee" and, for
+    surfaces, "coefficient-bound"; `verdict` is judge()'s full report on
+    the spec, built only when it is read.
+    """
+
+    spec: DegreeSpec
+    mu: int
+    pg: int
     kinds: tuple[str, ...]
+
+    @property
+    def verdict(self) -> VerdictReport:
+        return judge(self.spec, self.mu, self.pg)
 
 
 class SearchResult(NamedTuple):
@@ -138,10 +154,11 @@ def verify(spec: DegreeSpec) -> VerdictReport:
     return judge(spec, mu, pg)
 
 
-def _bound_terms(n: int, r: int) -> tuple:
-    """judge()'s constants for one (n, r): the applicable bound's name,
-    coefficient and strictness, C(n, r), (n+1)! and (-1)^n; each Fraction
-    coefficient is followed by its numerator and denominator."""
+def bound_terms(n: int, r: int) -> tuple:
+    """The verdict constants of one (n, r), which judge(), search() and the
+    search report share: the applicable bound's name, coefficient and
+    strictness, C(n, r), (n+1)! and (-1)^n; each Fraction coefficient is
+    followed by its numerator and denominator."""
     ratio = bound_coefficient(n, r)
     if n == 1:
         name, coeff, strict = "curve-identity", _TWO, False
@@ -162,11 +179,7 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
     cross-multiplied by the coefficient's denominator; only the reported
     values are Fractions.
     """
-    return _judged(spec, mu, pg, _bound_terms(spec.n, spec.r))
-
-
-def _judged(spec: DegreeSpec, mu: int, pg: int, terms: tuple) -> VerdictReport:
-    """judge(), with the constants of spec's (n, r) from _bound_terms()."""
+    terms = bound_terms(spec.n, spec.r)
     name, coeff, coeff_num, coeff_den, strict, ratio, ratio_num, ratio_den, strong, sign = terms
     comparison = _order(mu * coeff_den, coeff_num * pg)
     if spec.n == 1:
@@ -279,59 +292,76 @@ def degree_grid(r: int, p_min: int, p_max: int) -> Iterator[tuple[int, ...]]:
     return combinations_with_replacement(range(p_min, p_max + 1), r)
 
 
+# the most last degrees one line step takes; a longer line is cut into pieces
+_LINE_SPECS = 256
+
+
+def _line_pieces(leading: tuple[int, ...], first: int, p_max: int) -> Iterator[tuple]:
+    for start in range(first, p_max + 1, _LINE_SPECS):
+        yield leading, range(start, min(start + _LINE_SPECS, p_max + 1))
+
+
 def _lines(r: int, p_min: int, p_max: int, mode: str) -> Iterable[tuple]:
     """The grid as lines, in grid order: (leading degrees, range of the last degree).
 
-    A line holds the specs that share all degrees but the last.
+    A line holds the specs that share all degrees but the last, cut into
+    pieces of at most _LINE_SPECS specs, so that a step's values stay few
+    however wide the grid is.
     """
     if mode == "equal_degrees":
         return (((p,) * (r - 1), range(p, p + 1)) for p in range(p_min, p_max + 1))
     if r == 1:
-        return [((), range(p_min, p_max + 1))]
+        return _line_pieces((), p_min, p_max)
     return (
-        (leading, range(leading[-1], p_max + 1))
+        piece
         for leading in degree_grid(r - 1, p_min, p_max)
+        for piece in _line_pieces(leading, leading[-1], p_max)
     )
 
 
-def _agreed_last(folds, p: int, n: int, leading: tuple[int, ...], label: str) -> int:
-    """The value every route's last step gives for degree p; raises as agreed_value() does."""
-    values = [last(state, p) for _, last, state in folds]
+def _agreed_line(steps, tables: LineTables, leading, last_degrees, label: str) -> list[int]:
+    """Every route's values on one line, compared as whole lists; at the first
+    spec where they differ, raises as agreed_value() does."""
+    values = [line(prefix(tables, leading), last_degrees) for _, prefix, line in steps]
     if values.count(values[0]) != len(values):
-        spec = DegreeSpec(n, leading + (p,))
-        raise disagreement(label, spec, {m: v for (m, _, _), v in zip(folds, values)})
+        for p, column in zip(last_degrees, zip(*values)):
+            if column.count(column[0]) != len(column):
+                spec = DegreeSpec(tables.n, leading + (p,))
+                raise disagreement(label, spec, {m: v for (m, _, _), v in zip(steps, column)})
     return values[0]
+
+
+_STRONG = ("strong-durfee",)
+_COEFFICIENT = ("coefficient-bound",)
 
 
 def _line_violations(n: int, r: int, lines: Iterable[tuple]) -> list[Violation]:
     """The violations on the given lines, in grid order.
 
-    Each route folds a line's leading degrees once and finishes every spec
-    of the line with one last-degree step; both routes of each invariant
-    are compared at every spec before it is judged.
+    Each route folds a line's leading degrees once and returns the whole
+    line's values in one step; both routes of each invariant are compared
+    on every spec of the line.  A spec's kinds come from two integer
+    comparisons, mu < (n+1)! p_g and, for surfaces, mu < C(2, r) p_g.
     """
+    tables = LineTables(n, r)
     mu_steps = [(m, *MILNOR_STEPS[m]) for m in MILNOR_METHODS]
     pg_steps = [(m, *GENUS_STEPS[m]) for m in VERIFY_PG_METHODS]
-    terms = None
+    surface = n == 2
+    strong = None
     violations = []
     for leading, last_degrees in lines:
-        mu_folds = [(m, last, prefix(n, r, leading)) for m, prefix, last in mu_steps]
-        pg_folds = [(m, last, prefix(n, r, leading)) for m, prefix, last in pg_steps]
-        if terms is None:
+        mus = _agreed_line(mu_steps, tables, leading, last_degrees, "milnor")
+        pgs = _agreed_line(pg_steps, tables, leading, last_degrees, "genus")
+        if strong is None:
             # only after the first folds: they fail at once on an n or r too
             # large to compute, where C(n, r) would run for as long as r
-            terms = _bound_terms(n, r)
-        for p in last_degrees:
-            mu = _agreed_last(mu_folds, p, n, leading, "milnor")
-            pg = _agreed_last(pg_folds, p, n, leading, "genus")
-            verdict = _judged(DegreeSpec._normal(n, leading + (p,)), mu, pg, terms)
-            kinds = ()
-            if verdict.strong_classification == STRONG_VIOLATED:
-                kinds += ("strong-durfee",)
-            if n == 2 and verdict.coefficient_comparison == "<":
-                kinds += ("coefficient-bound",)
+            *_, ratio_num, ratio_den, strong, _ = bound_terms(n, r)
+        for p, mu, pg in zip(last_degrees, mus, pgs):
+            kinds = _STRONG if mu < strong * pg else ()
+            if surface and mu * ratio_den < ratio_num * pg:
+                kinds += _COEFFICIENT
             if kinds:
-                violations.append(Violation(verdict=verdict, kinds=kinds))
+                violations.append(Violation(DegreeSpec._normal(n, leading + (p,)), mu, pg, kinds))
     return violations
 
 
@@ -370,7 +400,7 @@ def _usable_cpus() -> int:
 
 
 def _sort_key(violation: Violation):
-    degrees = violation.verdict.spec.degrees
+    degrees = violation.spec.degrees
     return (sum(degrees), degrees)
 
 
@@ -385,13 +415,16 @@ def search(
     """Scan a degree grid for bound violations, deterministically.
 
     Reports every strong-Durfee violation (mu < (n+1)! p_g) and, for
-    surfaces, every violation of mu >= C(2, r) p_g.  The grid is walked by
-    lines; every spec's mu and p_g are cross-checked on the routes verify()
-    takes and judged as verify() judges them.  The outcome does not depend
-    on jobs: workers take batches of lines, at most 256 specs each, and
-    send back only the violations, which are merged in grid order.  The
-    pool never has more workers than there are specs or CPUs this process
-    may use, and with one worker the scan runs in process.
+    surfaces, every violation of mu >= C(2, r) p_g, as a Violation that
+    holds the spec, mu, p_g and the kinds it violates.  The grid is walked
+    by lines; every spec's mu and p_g are cross-checked on the routes
+    verify() takes, and its kinds are the integer comparisons behind
+    verify()'s strong_comparison and coefficient_comparison; no verdict is
+    built.  The outcome does not depend on jobs: workers take batches of
+    lines, at most 256 specs each, and send back only the violations, which
+    are merged in grid order.  The pool never has more workers than there
+    are specs or CPUs this process may use, and with one worker the scan
+    runs in process.
     """
     if n < 1 or r < 1:
         raise ValueError("expected n >= 1 and r >= 1")

@@ -18,10 +18,13 @@ Each route is implemented independently so any one can certify another;
 agreed_value() runs a set of routes and returns the one value they agree
 on, or raises CrossCheckError naming every route's value.  Every route but
 the dense z-series one is a fold over the degrees, split into a prefix step
-over all degrees but the last and a last-degree step (MILNOR_STEPS,
-GENUS_STEPS): a spec's value is last(prefix(n, r, degrees[:-1]),
-degrees[-1]), and a grid search reuses one prefix for a whole line of
-specs that differ only in their last degree.
+over all degrees but the last and a line step that returns the value for
+each of a list of last degrees (MILNOR_STEPS, GENUS_STEPS): a spec's value
+is line(prefix(tables, degrees[:-1]), degrees[-1:])[0], and a grid search
+folds one prefix for a whole line of specs that differ only in their last
+degree and finishes the line in one call.  The per-degree binomial rows and
+binomials C(m, N) that the genus routes look up are built lazily in
+LineTables, once per search, and dropped with it.
 
 A degree equal to 1 is a hyperplane and does not change the germ, only the
 ambient dimension, and every formula here is symmetric in the degrees; so
@@ -31,9 +34,8 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import comb, prod
-from operator import getitem
+from operator import getitem, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
@@ -103,15 +105,58 @@ class DegreeSpec(_DegreeSpecFields):
         return prod(self.degrees)
 
 
-# The split routes: no last step mutates its state, so one prefix serves
+class _BinomialRows(dict):
+    """p -> the row C(p, k+1) for k <= n, built the first time p is read."""
+
+    __slots__ = ("n",)
+
+    def __missing__(self, p: int) -> list[int]:
+        row = self[p] = [comb(p, k + 1) for k in range(self.n + 1)]
+        return row
+
+
+class _Binomials(dict):
+    """m -> C(m, k), taken through binomial() the first time m is read."""
+
+    __slots__ = ("k",)
+
+    def __missing__(self, m: int) -> int:
+        value = self[m] = binomial(m, self.k)
+        return value
+
+
+class LineTables:
+    """What every line of one (n, r) shares, filled lazily as degrees come up.
+
+    rows[p] is the row C(p, k+1), k <= n, that the compositions route
+    weighs degree p with, and binomials[m] is C(m, N), taken through
+    binomial() once per m, that inclusion-exclusion sums.  A search builds
+    one per walk (one per pool task) and a single spec one of its own;
+    nothing here outlives the call that built it.
+    """
+
+    __slots__ = ("n", "r", "rows", "binomials")
+
+    def __init__(self, n: int, r: int):
+        self.n, self.r = n, r
+        self.rows = _BinomialRows()
+        self.rows.n = n
+        self.binomials = _Binomials()
+        self.binomials.k = n + r
+
+
+# The split routes: prefix(tables, leading) folds all degrees but the last
+# into a state, and line(state, degrees) returns the value for each last
+# degree in degrees.  No line step mutates its state, so one prefix serves
 # every spec of a line.
 
 
-def _closed_sum_prefix(n: int, r: int, leading: Sequence[int]):
+def _closed_sum_prefix(tables: LineTables, leading: Sequence[int]):
     """h_k(p - 1) for k <= n, [x^k] prod_i 1 / (1 - (p_i - 1) x), and prod p_i.
 
     Each factor multiplies in place on integers, so the fold is O(r n).
     """
+    n = tables.n
     h = [1] + [0] * n
     for p in leading:
         for k in range(1, n + 1):
@@ -119,22 +164,28 @@ def _closed_sum_prefix(n: int, r: int, leading: Sequence[int]):
     return h, prod(leading)
 
 
-def _closed_sum_last(state, p: int) -> int:
+def _closed_sum_line(state, degrees: Sequence[int]) -> list[int]:
     """P sum_j (-1)^j h_(n-j)(p - 1) - (-1)^n, one more h step folded in on the way."""
     h, product = state
-    hk = alternating = 1
-    for c in islice(h, 1, None):
-        hk = c + (p - 1) * hk
-        alternating = hk - alternating
-    return product * p * alternating - (-1) ** (len(h) - 1)
+    tail = h[1:]
+    sign = (-1) ** len(tail)
+    values = []
+    for p in degrees:
+        hk = alternating = 1
+        for c in tail:
+            hk = c + (p - 1) * hk
+            alternating = hk - alternating
+        values.append(product * p * alternating - sign)
+    return values
 
 
-def _series_prefix(n: int, r: int, leading: Sequence[int]):
+def _series_prefix(tables: LineTables, leading: Sequence[int]):
     """[x^k] (1+x)^N / prod_i (1 + p_i x) for k <= n, and prod p_i.
 
     Each division by 1 + p x runs in place on integers; it is exact because
     the constant term is 1.
     """
+    n, r = tables.n, tables.r
     c = [comb(n + r, k) for k in range(n + 1)]
     for p in leading:
         for k in range(1, n + 1):
@@ -142,40 +193,48 @@ def _series_prefix(n: int, r: int, leading: Sequence[int]):
     return c, prod(leading)
 
 
-def _chi_last(state, p: int) -> int:
+def _chi_line(state, degrees: Sequence[int]) -> list[int]:
     """Euler characteristic of the Milnor fiber, [x^n] (1+x)^N / prod(1 + p x)."""
     c, product = state
-    top = c[0]
-    for ck in islice(c, 1, None):
-        top = ck - p * top
-    return product * p * top
+    first, tail = c[0], c[1:]
+    values = []
+    for p in degrees:
+        top = first
+        for ck in tail:
+            top = ck - p * top
+        values.append(product * p * top)
+    return values
 
 
-def _series_last(state, p: int) -> int:
-    chi = _chi_last(state, p)
-    return chi - 1 if len(state[0]) % 2 else 1 - chi
+def _series_line(state, degrees: Sequence[int]) -> list[int]:
+    chis = _chi_line(state, degrees)
+    if len(state[0]) % 2:  # n even
+        return [chi - 1 for chi in chis]
+    return [1 - chi for chi in chis]
 
 
-def _compositions_prefix(n: int, r: int, leading: Sequence[int]) -> list[int]:
+def _compositions_prefix(tables: LineTables, leading: Sequence[int]):
     """Sum of prod_(i<r) C(p_i, k_i+1) over the compositions k of n, by last part k_r.
 
     A walk over the compositions on purpose: the kernel form of this sum is
     the genus route of the benchmark's independent reference.
     """
-    by_last = [0] * (n + 1)
-    tables = [[comb(p, k + 1) for k in range(n + 1)] for p in leading]
-    for comp in compositions(n, r):
-        # map stops at the shorter: the tables leave out the last part
-        by_last[comp[-1]] += prod(map(getitem, tables, comp))
-    return by_last
+    by_last = [0] * (tables.n + 1)
+    rows = tables.rows
+    weights = [rows[p] for p in leading]
+    for comp in compositions(tables.n, tables.r):
+        # map stops at the shorter: the weights leave out the last part
+        by_last[comp[-1]] += prod(map(getitem, weights, comp))
+    return by_last, rows
 
 
-def _compositions_last(by_last: list[int], p: int) -> int:
-    return sum(s * comb(p, k + 1) for k, s in enumerate(by_last) if s)
+def _compositions_line(state, degrees: Sequence[int]) -> list[int]:
+    by_last, rows = state
+    return [sum(map(mul, by_last, rows[p])) for p in degrees]
 
 
-def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int]):
-    """The leading degrees' signed subset-sum counts, N and the degree sum so far.
+def _inclusion_exclusion_prefix(tables: LineTables, leading: Sequence[int]):
+    """The leading degrees' signed subset-sum counts and their degree sum.
 
     The genus is a signed count of monomials of degree sum(p) - N in N
     variables, with exponents capped by inclusion-exclusion over the
@@ -188,40 +247,44 @@ def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int]):
         for subset_sum, count in counts.items():
             grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
         counts = grown
-    return n + r, sum(leading), counts
+    return sum(leading), counts, tables.binomials
 
 
-def _inclusion_exclusion_last(state, p: int) -> int:
+def _inclusion_exclusion_line(state, degrees: Sequence[int]) -> list[int]:
     # with the last degree p a sum s counts counts[s] - counts[s - p], and a
     # sum s + p not in the table counts -counts[s]; sums whose subsets
     # cancel cost no binomial
-    N, total, counts = state
-    top = total + p
+    total, counts, binomials = state
     shifted = counts.get
-    value = 0
-    for subset_sum, count in counts.items():
-        merged = count - shifted(subset_sum - p, 0)
-        if merged:
-            value += merged * binomial(top - subset_sum, N)
-        if count and subset_sum + p not in counts:
-            value -= count * binomial(top - subset_sum - p, N)
-    return value
+    values = []
+    for p in degrees:
+        top = total + p
+        value = 0
+        for subset_sum, count in counts.items():
+            merged = count - shifted(subset_sum - p, 0)
+            if merged:
+                value += merged * binomials[top - subset_sum]
+            if count and subset_sum + p not in counts:
+                value -= count * binomials[top - subset_sum - p]
+        values.append(value)
+    return values
 
 
-# route -> (prefix, last), for every route but the dense series_coeff
+# route -> (prefix, line), for every route but the dense series_coeff
 MILNOR_STEPS = {
-    "closed_sum": (_closed_sum_prefix, _closed_sum_last),
-    "series": (_series_prefix, _series_last),
+    "closed_sum": (_closed_sum_prefix, _closed_sum_line),
+    "series": (_series_prefix, _series_line),
 }
 GENUS_STEPS = {
-    "compositions": (_compositions_prefix, _compositions_last),
-    "inclusion_exclusion": (_inclusion_exclusion_prefix, _inclusion_exclusion_last),
+    "compositions": (_compositions_prefix, _compositions_line),
+    "inclusion_exclusion": (_inclusion_exclusion_prefix, _inclusion_exclusion_line),
 }
 
 
 def _folded(steps, spec: DegreeSpec) -> int:
-    prefix, last = steps
-    return last(prefix(spec.n, spec.r, spec.degrees[:-1]), spec.degrees[-1])
+    prefix, line = steps
+    state = prefix(LineTables(spec.n, spec.r), spec.degrees[:-1])
+    return line(state, spec.degrees[-1:])[0]
 
 
 def _milnor_closed_sum(spec: DegreeSpec) -> int:
@@ -243,7 +306,7 @@ def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
 
 def milnor_fiber_euler(spec: DegreeSpec) -> int:
     """Euler characteristic of the Milnor fiber; equals (-1)^n mu + 1."""
-    return _folded((_series_prefix, _chi_last), spec)
+    return _folded((_series_prefix, _chi_line), spec)
 
 
 def _genus_compositions(spec: DegreeSpec) -> int:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import durfee
+from durfee import DegreeSpec, verify
 from durfee.bounds import bound_coefficient
 from durfee.cli import (
     ReportDocument,
@@ -23,7 +25,7 @@ from durfee.cli import (
     render_json_lines,
     render_table,
 )
-from durfee.exactmath import CrossCheckError
+from durfee.exactmath import CrossCheckError, unlimited_int_str
 
 
 def run_cli(capsys, *argv):
@@ -428,13 +430,14 @@ class TestSearchCommand:
         assert serial == parallel
 
     def test_route_disagreement_exits_3(self, capsys, monkeypatch):
-        # one route's last-degree step off by one: the line walk compares
-        # both routes at every spec, so the first spec already fails
+        # one route's line step off by one: the line walk compares both
+        # routes at every spec, so the first spec already fails
         import durfee.invariants as invariants
 
-        prefix, last = invariants.MILNOR_STEPS["series"]
+        prefix, line = invariants.MILNOR_STEPS["series"]
         monkeypatch.setitem(
-            invariants.MILNOR_STEPS, "series", (prefix, lambda state, p: last(state, p) + 1)
+            invariants.MILNOR_STEPS, "series",
+            (prefix, lambda state, degrees: [value + 1 for value in line(state, degrees)]),
         )
         code, out, err = run_cli(
             capsys, "search", "--n", "2", "--r", "3", "--p", "2..5", "--full-grid"
@@ -529,6 +532,34 @@ class TestLongResults:
         assert out == ""
         assert err.startswith("internal cross-check failure: genus methods disagree")
         assert sys.get_int_max_str_digits() == limit
+
+    # a curve of degree 10^2200 - 1: pg and the bound cells have about 4,400
+    # digits; the stdout of the renderer that printed Fraction cells, as
+    # (bytes, sha256)
+    NINES = "9" * 2200
+    SEARCH_STDOUT = {
+        "table": (59645, "17afff4af95c11f8368e6a06b3e75974c52b909f612b50362d5d0b1391963ec4"),
+        "json-lines": (24329, "98927d43b020890435355cdf4f4107b208386853bc3337d7f9a46b57bbf928ba"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["table", "json-lines"])
+    def test_search_bound_cells_past_the_digit_limit(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        span = f"{self.NINES}..{self.NINES}"
+        code, out, err = run_cli(
+            capsys, "search", "--n", "1", "--r", "1", "--p", span, "--format", fmt
+        )
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == self.SEARCH_STDOUT[fmt]
+        if fmt == "json-lines":
+            # the text cells are what str() of verify()'s Fractions writes
+            v = verify(DegreeSpec(1, (int(self.NINES),)))
+            with unlimited_int_str():
+                (row,) = map(json.loads, out.splitlines())
+                cells = [str(v.strong_value), str(v.bound_value), str(v.coefficient_value)]
+            assert [row["strong_bound"], row["conjecture_bound"], row["coefficient_bound"]] == cells
 
     def test_long_degree_still_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--degrees", "1" * 4301)

@@ -82,7 +82,11 @@ SEARCH_SHAPES = _search_shapes()
 
 
 def search_oracle(n, r, p_min, p_max, mode):
-    """search() rebuilt from per-spec verify(), the violation filter and the sort."""
+    """search() rebuilt from per-spec verify(), the violation filter and the sort.
+
+    Each violation is the lean record search() keeps, and its verdict is
+    verify()'s report on the spec.
+    """
     if mode == "full_grid":
         grid = list(combinations_with_replacement(range(p_min, p_max + 1), r))
     else:
@@ -96,8 +100,10 @@ def search_oracle(n, r, p_min, p_max, mode):
         if n == 2 and verdict.coefficient_comparison == "<":
             kinds += ("coefficient-bound",)
         if kinds:
-            violations.append(Violation(verdict, kinds))
-    violations.sort(key=lambda v: (sum(v.verdict.spec.degrees), v.verdict.spec.degrees))
+            violation = Violation(verdict.spec, verdict.mu, verdict.pg, kinds)
+            assert violation.verdict == verdict
+            violations.append(violation)
+    violations.sort(key=lambda v: (sum(v.spec.degrees), v.spec.degrees))
     return SearchResult(
         n, r, p_min, p_max, mode, len(grid), tuple(violations),
         violations[0] if violations else None,
@@ -509,50 +515,50 @@ class TestSearch:
 
     @pytest.mark.parametrize("mode", ["full_grid", "equal_degrees"])
     def test_line_walk_visits_each_spec_once_in_grid_order(self, monkeypatch, mode):
-        # every route folds a line's leading degrees once and takes one last
-        # step per spec; each spec is judged once, right after its last steps
+        # every route folds a line's leading degrees once and finishes the
+        # line in one step over its last degrees, and no verdict is built
         import durfee.conjecture as conjecture
         import durfee.invariants as invariants
 
         events = []
 
         def recorded(table, route):
-            prefix, last = table[route]
+            prefix, line = table[route]
 
-            def traced_prefix(n, r, leading):
+            def traced_prefix(tables, leading):
                 events.append(("prefix", route, leading))
-                return prefix(n, r, leading)
+                return prefix(tables, leading)
 
-            def traced_last(state, p):
-                events.append(("last", route, p))
-                return last(state, p)
+            def traced_line(state, degrees):
+                events.append(("line", route, tuple(degrees)))
+                return line(state, degrees)
 
-            monkeypatch.setitem(table, route, (traced_prefix, traced_last))
+            monkeypatch.setitem(table, route, (traced_prefix, traced_line))
 
         for route in MILNOR_METHODS:
             recorded(invariants.MILNOR_STEPS, route)
         for route in VERIFY_PG_METHODS:
             recorded(invariants.GENUS_STEPS, route)
-        judged = conjecture._judged
 
-        def judging(spec, mu, pg, terms):
-            events.append(("judge", spec.degrees))
-            return judged(spec, mu, pg, terms)
+        def refuse(*args):
+            raise AssertionError("search built a verdict")
 
-        monkeypatch.setattr(conjecture, "_judged", judging)
+        monkeypatch.setattr(conjecture, "judge", refuse)
         result = search(2, 3, 2, 5, mode=mode)
         if mode == "full_grid":
             grid = list(degree_grid(3, 2, 5))
         else:
             grid = [(p,) * 3 for p in range(2, 6)]
-        routes = MILNOR_METHODS + VERIFY_PG_METHODS
-        expected, leading = [], None
+        lines = {}
         for degrees in grid:
-            if degrees[:-1] != leading:
-                leading = degrees[:-1]
-                expected += [("prefix", route, leading) for route in routes]
-            expected += [("last", route, degrees[-1]) for route in routes]
-            expected.append(("judge", degrees))
+            lines.setdefault(degrees[:-1], []).append(degrees[-1])
+        routes = MILNOR_METHODS + VERIFY_PG_METHODS
+        expected = [
+            event
+            for leading, last_degrees in lines.items()
+            for route in routes
+            for event in (("prefix", route, leading), ("line", route, tuple(last_degrees)))
+        ]
         assert events == expected
         assert result.scanned == len(grid)
         monkeypatch.undo()
@@ -561,7 +567,9 @@ class TestSearch:
     @pytest.mark.parametrize("mode", ["full_grid", "equal_degrees"])
     @pytest.mark.parametrize("n, r, p_min, p_max", SEARCH_SHAPES)
     def test_search_matches_per_spec_verify(self, n, r, p_min, p_max, mode):
-        assert search(n, r, p_min, p_max, mode=mode) == search_oracle(n, r, p_min, p_max, mode)
+        result = search(n, r, p_min, p_max, mode=mode)
+        assert result == search_oracle(n, r, p_min, p_max, mode)
+        assert all(v.verdict == verify(v.spec) for v in result.violations)
 
     @pytest.mark.parametrize("n, r, p_min, p_max", SEARCH_SHAPES[::3])
     def test_pooled_batches_cut_lines_and_keep_the_result(
@@ -583,20 +591,56 @@ class TestSearch:
         walked = [lead + (p,) for batch in batches for lead, last in batch for p in last]
         assert walked == list(degree_grid(3, 2, 9))
 
+    def test_long_lines_are_cut_into_pieces(self):
+        # a line step holds at most 256 values, however wide the grid is
+        import durfee.conjecture as conjecture
+
+        pieces = list(conjecture._lines(1, 2, 600, "full_grid"))
+        assert pieces == [((), range(2, 258)), ((), range(258, 514)), ((), range(514, 601))]
+        first, second, third = list(conjecture._lines(2, 2, 300, "full_grid"))[:3]
+        assert (first, second) == (((2,), range(2, 258)), ((2,), range(258, 301)))
+        assert third == ((3,), range(3, 259))
+        # lazy: a grid far past any list is never listed up front
+        huge = conjecture._lines(1, 2, 10**30, "full_grid")
+        assert next(iter(huge)) == ((), range(2, 258))
+        assert search(1, 1, 2, 600, mode="full_grid") == search_oracle(1, 1, 2, 600, "full_grid")
+
     def test_route_disagreement_names_the_spec_and_both_values(self, monkeypatch):
         import durfee.invariants as invariants
 
-        prefix, last = invariants.GENUS_STEPS["inclusion_exclusion"]
-        monkeypatch.setitem(
-            invariants.GENUS_STEPS, "inclusion_exclusion",
-            (prefix, lambda state, p: last(state, p) + (p == 4)),
-        )
+        prefix, line = invariants.GENUS_STEPS["inclusion_exclusion"]
+
+        def off_at_4(state, degrees):
+            return [value + (p == 4) for value, p in zip(line(state, degrees), degrees)]
+
+        monkeypatch.setitem(invariants.GENUS_STEPS, "inclusion_exclusion", (prefix, off_at_4))
         with pytest.raises(CrossCheckError) as info:
             search(2, 2, 2, 5, mode="full_grid")
         assert str(info.value) == (
             "genus methods disagree for DegreeSpec(n=2, degrees=(2, 4)): "
             "{'compositions': 14, 'inclusion_exclusion': 15}"
         )
+
+    def test_full_grid_takes_each_binomial_once(self, monkeypatch):
+        # inclusion-exclusion reads C(m, N) from a table built per search:
+        # one binomial() call per distinct m, and two identical searches in
+        # a row make the same calls, so the table does not outlive a search
+        import durfee.invariants as invariants
+
+        calls = []
+
+        def counted(m, k):
+            calls.append((m, k))
+            return binomial(m, k)
+
+        monkeypatch.setattr(invariants, "binomial", counted)
+        first = search(3, 4, 2, 9, mode="full_grid")
+        first_calls, calls[:] = calls[:], []
+        second = search(3, 4, 2, 9, mode="full_grid")
+        assert 0 < len(first_calls) == len(set(first_calls)) < first.scanned
+        assert calls == first_calls
+        monkeypatch.undo()
+        assert first == second == search(3, 4, 2, 9, mode="full_grid")
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):

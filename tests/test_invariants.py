@@ -18,7 +18,7 @@ from durfee import (
     milnor_number,
 )
 from durfee.conjecture import judge
-from durfee.invariants import GENUS_STEPS, MILNOR_STEPS
+from durfee.invariants import GENUS_STEPS, MILNOR_STEPS, LineTables
 
 from _oracles import (
     equal_degree_genus,
@@ -488,17 +488,17 @@ class TestSplitRoutes:
 
     @pytest.mark.parametrize("n, leading, last_degrees", _line_shapes())
     def test_last_of_prefix_matches_the_brute_oracles(self, n, leading, last_degrees):
-        # one fold of the leading degrees serves every spec of the line
+        # one fold of the leading degrees serves every spec of the line, and
+        # one line step gives the same values as a step per spec
         r = len(leading) + 1
         expected = {}
-        for route, (prefix, last) in {**MILNOR_STEPS, **GENUS_STEPS}.items():
+        for route, (prefix, line) in {**MILNOR_STEPS, **GENUS_STEPS}.items():
             oracle = self.ORACLES[route]
-            state = prefix(n, r, leading)
-            for p in last_degrees:
-                degrees = leading + (p,)
-                if (oracle, p) not in expected:
-                    expected[oracle, p] = oracle(n, degrees)
-                assert last(state, p) == expected[oracle, p], (route, degrees)
+            if oracle not in expected:
+                expected[oracle] = [oracle(n, leading + (p,)) for p in last_degrees]
+            state = prefix(LineTables(n, r), leading)
+            assert line(state, last_degrees) == expected[oracle], route
+            assert [line(state, (p,))[0] for p in last_degrees] == expected[oracle], route
         for p in last_degrees:
             spec = DegreeSpec(n, leading + (p,))
             assert milnor_fiber_euler(spec) == euler_brute(n, spec.degrees)
