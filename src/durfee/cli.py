@@ -14,7 +14,7 @@ import argparse
 import io
 import sys
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 from typing import Callable, NamedTuple, Sequence, Union
 
 from . import __version__
@@ -22,7 +22,6 @@ from .bounds import (
     DOMINANCE_ORDER,
     composition_factorial_sum,
     dominance_inequality_checks,
-    bound_coefficient,
     composition_sum_inequality,
     falling_sum_recursion_check,
     min_product_bound,
@@ -32,7 +31,7 @@ from .bounds import (
     stirling_factorial_sum,
 )
 from .conjecture import (
-    bound_terms,
+    bound_cells,
     curve_identity,
     hypersurface_identity,
     judge,
@@ -327,13 +326,6 @@ def cmd_bounds(args) -> ReportDocument:
     )
 
 
-def _quotient_cell(num: int, den: int) -> str:
-    """num/den in lowest terms, as str(Fraction(num, den)) writes it; den > 0."""
-    common = gcd(num, den)
-    num, den = num // common, den // common
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 def cmd_search(args) -> ReportDocument:
     p_min, p_max = _parse_span(args.p)
     mode = "full_grid" if args.full_grid else "equal_degrees"
@@ -341,20 +333,12 @@ def cmd_search(args) -> ReportDocument:
     n, r = result.n, result.r
     rows: list[tuple[Cell, ...]] = []
     if result.violations:
-        _, _, coeff_num, coeff_den, _, _, ratio_num, ratio_den, strong, _ = bound_terms(n, r)
+        cells = bound_cells(n, r)
         with unlimited_int_str():  # the bound cells are text, and may be long
             for v in result.violations:
-                pg = v.pg
                 rows.append((
-                    n,
-                    r,
-                    _degrees_cell(v.spec.degrees),
-                    v.mu,
-                    pg,
-                    "+".join(v.kinds),
-                    str(strong * pg),
-                    _quotient_cell(coeff_num * pg, coeff_den),
-                    _quotient_cell(ratio_num * pg, ratio_den),
+                    n, r, _degrees_cell(v.spec.degrees), v.mu, v.pg, "+".join(v.kinds),
+                    *cells(v.pg),
                 ))
     notes = [f"scanned {result.scanned} specs, {len(result.violations)} violations"]
     if result.minimal is not None:

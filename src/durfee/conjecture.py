@@ -21,9 +21,9 @@ from __future__ import annotations
 import os
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, combinations, combinations_with_replacement
+from math import comb, factorial, gcd
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import balanced_min_product, bound_coefficient, min_product_bound
 from .exactmath import falling_factorial
@@ -32,8 +32,8 @@ from .invariants import (
     MILNOR_METHODS,
     MILNOR_STEPS,
     DegreeSpec,
-    LineTables,
     agreed_value,
+    binomial_table,
     disagreement,
     geometric_genus,
     milnor_number,
@@ -154,9 +154,9 @@ def verify(spec: DegreeSpec) -> VerdictReport:
     return judge(spec, mu, pg)
 
 
-def bound_terms(n: int, r: int) -> tuple:
-    """The verdict constants of one (n, r), which judge(), search() and the
-    search report share: the applicable bound's name, coefficient and
+def _bound_terms(n: int, r: int) -> tuple:
+    """The verdict constants of one (n, r), which judge(), search() and
+    bound_cells() share: the applicable bound's name, coefficient and
     strictness, C(n, r), (n+1)! and (-1)^n; each Fraction coefficient is
     followed by its numerator and denominator."""
     ratio = bound_coefficient(n, r)
@@ -172,6 +172,33 @@ def bound_terms(n: int, r: int) -> tuple:
     )
 
 
+def _quotient_text(num: int, den: int) -> str:
+    """num/den in lowest terms, as str(Fraction(num, den)) writes it; den > 0."""
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def bound_cells(n: int, r: int) -> Callable[[int], tuple[str, str, str]]:
+    """The search report's bound cells of one (n, r), as a function of p_g.
+
+    It returns (n+1)! p_g, the applicable bound's value and C(n, r) p_g as
+    text, each as str() writes the VerdictReport's strong_value,
+    bound_value and coefficient_value, without building a Fraction.  Call
+    it where unlimited_int_str() is in force: the cells may be long.
+    """
+    _, _, coeff_num, coeff_den, _, _, ratio_num, ratio_den, strong, _ = _bound_terms(n, r)
+
+    def cells(pg: int) -> tuple[str, str, str]:
+        return (
+            str(strong * pg),
+            _quotient_text(coeff_num * pg, coeff_den),
+            _quotient_text(ratio_num * pg, ratio_den),
+        )
+
+    return cells
+
+
 def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
     """The verdict for one spec, given its already cross-checked mu and p_g.
 
@@ -179,7 +206,7 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
     cross-multiplied by the coefficient's denominator; only the reported
     values are Fractions.
     """
-    terms = bound_terms(spec.n, spec.r)
+    terms = _bound_terms(spec.n, spec.r)
     name, coeff, coeff_num, coeff_den, strict, ratio, ratio_num, ratio_den, strong, sign = terms
     comparison = _order(mu * coeff_den, coeff_num * pg)
     if spec.n == 1:
@@ -292,41 +319,34 @@ def degree_grid(r: int, p_min: int, p_max: int) -> Iterator[tuple[int, ...]]:
     return combinations_with_replacement(range(p_min, p_max + 1), r)
 
 
-# the most last degrees one line step takes; a longer line is cut into pieces
-_LINE_SPECS = 256
-
-
-def _line_pieces(leading: tuple[int, ...], first: int, p_max: int) -> Iterator[tuple]:
-    for start in range(first, p_max + 1, _LINE_SPECS):
-        yield leading, range(start, min(start + _LINE_SPECS, p_max + 1))
+# the most specs one batch of lines holds, in process and on a pool
+_BATCH_SPECS = 256
 
 
 def _lines(r: int, p_min: int, p_max: int, mode: str) -> Iterable[tuple]:
     """The grid as lines, in grid order: (leading degrees, range of the last degree).
 
-    A line holds the specs that share all degrees but the last, cut into
-    pieces of at most _LINE_SPECS specs, so that a step's values stay few
-    however wide the grid is.
+    A line holds the specs that share all degrees but the last; _batches()
+    cuts the long ones.
     """
     if mode == "equal_degrees":
         return (((p,) * (r - 1), range(p, p + 1)) for p in range(p_min, p_max + 1))
     if r == 1:
-        return _line_pieces((), p_min, p_max)
+        return [((), range(p_min, p_max + 1))]
     return (
-        piece
+        (leading, range(leading[-1], p_max + 1))
         for leading in degree_grid(r - 1, p_min, p_max)
-        for piece in _line_pieces(leading, leading[-1], p_max)
     )
 
 
-def _agreed_line(steps, tables: LineTables, leading, last_degrees, label: str) -> list[int]:
+def _agreed_line(steps, n: int, r: int, binomials, leading, last_degrees, label: str) -> list[int]:
     """Every route's values on one line, compared as whole lists; at the first
     spec where they differ, raises as agreed_value() does."""
-    values = [line(prefix(tables, leading), last_degrees) for _, prefix, line in steps]
+    values = [line(prefix(n, r, leading, binomials), last_degrees) for _, prefix, line in steps]
     if values.count(values[0]) != len(values):
         for p, column in zip(last_degrees, zip(*values)):
             if column.count(column[0]) != len(column):
-                spec = DegreeSpec(tables.n, leading + (p,))
+                spec = DegreeSpec(n, leading + (p,))
                 raise disagreement(label, spec, {m: v for (m, _, _), v in zip(steps, column)})
     return values[0]
 
@@ -339,23 +359,24 @@ def _line_violations(n: int, r: int, lines: Iterable[tuple]) -> list[Violation]:
     """The violations on the given lines, in grid order.
 
     Each route folds a line's leading degrees once and returns the whole
-    line's values in one step; both routes of each invariant are compared
-    on every spec of the line.  A spec's kinds come from two integer
-    comparisons, mu < (n+1)! p_g and, for surfaces, mu < C(2, r) p_g.
+    line's values in one step, so the lines should be short (_batches()
+    cuts them); both routes of each invariant are compared on every spec
+    of the line.  A spec's kinds come from two integer comparisons,
+    mu < (n+1)! p_g and, for surfaces, mu < C(2, r) p_g.
     """
-    tables = LineTables(n, r)
+    binomials = binomial_table(n + r)
     mu_steps = [(m, *MILNOR_STEPS[m]) for m in MILNOR_METHODS]
     pg_steps = [(m, *GENUS_STEPS[m]) for m in VERIFY_PG_METHODS]
     surface = n == 2
     strong = None
     violations = []
     for leading, last_degrees in lines:
-        mus = _agreed_line(mu_steps, tables, leading, last_degrees, "milnor")
-        pgs = _agreed_line(pg_steps, tables, leading, last_degrees, "genus")
+        mus = _agreed_line(mu_steps, n, r, binomials, leading, last_degrees, "milnor")
+        pgs = _agreed_line(pg_steps, n, r, binomials, leading, last_degrees, "genus")
         if strong is None:
             # only after the first folds: they fail at once on an n or r too
             # large to compute, where C(n, r) would run for as long as r
-            *_, ratio_num, ratio_den, strong, _ = bound_terms(n, r)
+            *_, ratio_num, ratio_den, strong, _ = _bound_terms(n, r)
         for p, mu, pg in zip(last_degrees, mus, pgs):
             kinds = _STRONG if mu < strong * pg else ()
             if surface and mu * ratio_den < ratio_num * pg:
@@ -420,11 +441,11 @@ def search(
     by lines; every spec's mu and p_g are cross-checked on the routes
     verify() takes, and its kinds are the integer comparisons behind
     verify()'s strong_comparison and coefficient_comparison; no verdict is
-    built.  The outcome does not depend on jobs: workers take batches of
-    lines, at most 256 specs each, and send back only the violations, which
-    are merged in grid order.  The pool never has more workers than there
-    are specs or CPUs this process may use, and with one worker the scan
-    runs in process.
+    built.  Lines are cut into batches of at most 256 specs.  The outcome
+    does not depend on jobs: workers take the batches and send back only
+    the violations, which are merged in grid order.  The pool never has
+    more workers than there are specs or CPUs this process may use, and
+    with one worker the scan runs in process.
     """
     if n < 1 or r < 1:
         raise ValueError("expected n >= 1 and r >= 1")
@@ -443,11 +464,11 @@ def search(
 
     workers = min(jobs, _usable_cpus(), scanned)
     if workers == 1:
-        violations = _line_violations(n, r, lines)
+        violations = _line_violations(n, r, chain.from_iterable(_batches(lines, _BATCH_SPECS)))
     else:
         from concurrent.futures import ProcessPoolExecutor  # heavy, so only here
-        # at most 256 specs a task and two tasks a worker in flight
-        chunk = min(max(1, scanned // (4 * workers)), 256)
+        # two tasks a worker in flight
+        chunk = min(max(1, scanned // (4 * workers)), _BATCH_SPECS)
         batches = _batches(lines, chunk)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             violations = list(_pooled_violations(pool, n, r, batches, 2 * workers))

@@ -20,11 +20,12 @@ on, or raises CrossCheckError naming every route's value.  Every route but
 the dense z-series one is a fold over the degrees, split into a prefix step
 over all degrees but the last and a line step that returns the value for
 each of a list of last degrees (MILNOR_STEPS, GENUS_STEPS): a spec's value
-is line(prefix(tables, degrees[:-1]), degrees[-1:])[0], and a grid search
+is line(prefix(n, r, degrees[:-1], binomials), degrees[-1:])[0], and a search
 folds one prefix for a whole line of specs that differ only in their last
-degree and finishes the line in one call.  The per-degree binomial rows and
-binomials C(m, N) that the genus routes look up are built lazily in
-LineTables, once per search, and dropped with it.
+degree and finishes the line in one call.  The binomials C(m, N) that
+inclusion-exclusion sums come from a binomial_table() in a search, which
+fills one lazily, once per walk, and drops it with the walk; a spec on its
+own takes them from binomial() straight.
 
 A degree equal to 1 is a hyperplane and does not change the germ, only the
 ambient dimension, and every formula here is symmetric in the degrees; so
@@ -34,8 +35,9 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb, prod
-from operator import getitem, mul
+from operator import getitem, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
@@ -105,14 +107,9 @@ class DegreeSpec(_DegreeSpecFields):
         return prod(self.degrees)
 
 
-class _BinomialRows(dict):
-    """p -> the row C(p, k+1) for k <= n, built the first time p is read."""
-
-    __slots__ = ("n",)
-
-    def __missing__(self, p: int) -> list[int]:
-        row = self[p] = [comb(p, k + 1) for k in range(self.n + 1)]
-        return row
+# the most binomials a table holds; a full table is emptied, so a search's
+# memory does not grow with the width of its grid
+_TABLE_ENTRIES = 1024
 
 
 class _Binomials(dict):
@@ -121,42 +118,36 @@ class _Binomials(dict):
     __slots__ = ("k",)
 
     def __missing__(self, m: int) -> int:
+        if len(self) >= _TABLE_ENTRIES:
+            self.clear()
         value = self[m] = binomial(m, self.k)
         return value
 
 
-class LineTables:
-    """What every line of one (n, r) shares, filled lazily as degrees come up.
+def binomial_table(k: int) -> dict[int, int]:
+    """An empty table of C(m, k), filled lazily as m is read and bounded in size.
 
-    rows[p] is the row C(p, k+1), k <= n, that the compositions route
-    weighs degree p with, and binomials[m] is C(m, N), taken through
-    binomial() once per m, that inclusion-exclusion sums.  A search builds
-    one per walk (one per pool task) and a single spec one of its own;
-    nothing here outlives the call that built it.
+    A search builds one per walk (one per pool task) and drops it with the
+    walk; a spec on its own builds none.
     """
-
-    __slots__ = ("n", "r", "rows", "binomials")
-
-    def __init__(self, n: int, r: int):
-        self.n, self.r = n, r
-        self.rows = _BinomialRows()
-        self.rows.n = n
-        self.binomials = _Binomials()
-        self.binomials.k = n + r
+    table = _Binomials()
+    table.k = k
+    return table
 
 
-# The split routes: prefix(tables, leading) folds all degrees but the last
-# into a state, and line(state, degrees) returns the value for each last
-# degree in degrees.  No line step mutates its state, so one prefix serves
-# every spec of a line.
+# The split routes: prefix(n, r, leading, binomials) folds all degrees but
+# the last into a state, and line(state, degrees) returns the value for each
+# last degree in degrees.  binomials is the binomial_table(n + r) that
+# inclusion-exclusion reads and the other routes ignore, or None for a spec
+# on its own.  No line step mutates its state, so one prefix serves every
+# spec of a line.
 
 
-def _closed_sum_prefix(tables: LineTables, leading: Sequence[int]):
+def _closed_sum_prefix(n: int, r: int, leading: Sequence[int], binomials):
     """h_k(p - 1) for k <= n, [x^k] prod_i 1 / (1 - (p_i - 1) x), and prod p_i.
 
     Each factor multiplies in place on integers, so the fold is O(r n).
     """
-    n = tables.n
     h = [1] + [0] * n
     for p in leading:
         for k in range(1, n + 1):
@@ -179,13 +170,12 @@ def _closed_sum_line(state, degrees: Sequence[int]) -> list[int]:
     return values
 
 
-def _series_prefix(tables: LineTables, leading: Sequence[int]):
+def _series_prefix(n: int, r: int, leading: Sequence[int], binomials):
     """[x^k] (1+x)^N / prod_i (1 + p_i x) for k <= n, and prod p_i.
 
     Each division by 1 + p x runs in place on integers; it is exact because
     the constant term is 1.
     """
-    n, r = tables.n, tables.r
     c = [comb(n + r, k) for k in range(n + 1)]
     for p in leading:
         for k in range(1, n + 1):
@@ -208,33 +198,32 @@ def _chi_line(state, degrees: Sequence[int]) -> list[int]:
 
 def _series_line(state, degrees: Sequence[int]) -> list[int]:
     chis = _chi_line(state, degrees)
-    if len(state[0]) % 2:  # n even
-        return [chi - 1 for chi in chis]
-    return [1 - chi for chi in chis]
+    if len(state[0]) % 2:  # n even: chi - 1, else 1 - chi
+        return list(map(sub, chis, repeat(1)))
+    return list(map(sub, repeat(1), chis))
 
 
-def _compositions_prefix(tables: LineTables, leading: Sequence[int]):
+def _compositions_prefix(n: int, r: int, leading: Sequence[int], binomials):
     """Sum of prod_(i<r) C(p_i, k_i+1) over the compositions k of n, by last part k_r.
 
     A walk over the compositions on purpose: the kernel form of this sum is
     the genus route of the benchmark's independent reference.
     """
-    by_last = [0] * (tables.n + 1)
-    rows = tables.rows
-    weights = [rows[p] for p in leading]
-    for comp in compositions(tables.n, tables.r):
-        # map stops at the shorter: the weights leave out the last part
-        by_last[comp[-1]] += prod(map(getitem, weights, comp))
-    return by_last, rows
+    by_last = [0] * (n + 1)
+    tables = [[comb(p, k + 1) for k in range(n + 1)] for p in leading]
+    for comp in compositions(n, r):
+        # map stops at the shorter: the tables leave out the last part
+        by_last[comp[-1]] += prod(map(getitem, tables, comp))
+    return by_last
 
 
-def _compositions_line(state, degrees: Sequence[int]) -> list[int]:
-    by_last, rows = state
-    return [sum(map(mul, by_last, rows[p])) for p in degrees]
+def _compositions_line(by_last: list[int], degrees: Sequence[int]) -> list[int]:
+    # a binomial only for a last part with a nonzero sum: one for hypersurfaces
+    return [sum(s * comb(p, k) for k, s in enumerate(by_last, 1) if s) for p in degrees]
 
 
-def _inclusion_exclusion_prefix(tables: LineTables, leading: Sequence[int]):
-    """The leading degrees' signed subset-sum counts and their degree sum.
+def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int], binomials):
+    """N, the leading degrees' sum and signed subset-sum counts, and binomials.
 
     The genus is a signed count of monomials of degree sum(p) - N in N
     variables, with exponents capped by inclusion-exclusion over the
@@ -247,14 +236,15 @@ def _inclusion_exclusion_prefix(tables: LineTables, leading: Sequence[int]):
         for subset_sum, count in counts.items():
             grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
         counts = grown
-    return sum(leading), counts, tables.binomials
+    return n + r, sum(leading), counts, binomials
 
 
 def _inclusion_exclusion_line(state, degrees: Sequence[int]) -> list[int]:
     # with the last degree p a sum s counts counts[s] - counts[s - p], and a
     # sum s + p not in the table counts -counts[s]; sums whose subsets
-    # cancel cost no binomial
-    total, counts, binomials = state
+    # cancel cost no binomial.  Without a table (a spec on its own) each
+    # C(m, N) is taken from binomial() straight.
+    N, total, counts, binomials = state
     shifted = counts.get
     values = []
     for p in degrees:
@@ -263,9 +253,11 @@ def _inclusion_exclusion_line(state, degrees: Sequence[int]) -> list[int]:
         for subset_sum, count in counts.items():
             merged = count - shifted(subset_sum - p, 0)
             if merged:
-                value += merged * binomials[top - subset_sum]
+                m = top - subset_sum
+                value += merged * (binomial(m, N) if binomials is None else binomials[m])
             if count and subset_sum + p not in counts:
-                value -= count * binomials[top - subset_sum - p]
+                m = top - subset_sum - p
+                value -= count * (binomial(m, N) if binomials is None else binomials[m])
         values.append(value)
     return values
 
@@ -283,8 +275,8 @@ GENUS_STEPS = {
 
 def _folded(steps, spec: DegreeSpec) -> int:
     prefix, line = steps
-    state = prefix(LineTables(spec.n, spec.r), spec.degrees[:-1])
-    return line(state, spec.degrees[-1:])[0]
+    n, degrees = spec
+    return line(prefix(n, len(degrees), degrees[:-1], None), degrees[-1:])[0]
 
 
 def _milnor_closed_sum(spec: DegreeSpec) -> int:

@@ -525,9 +525,9 @@ class TestSearch:
         def recorded(table, route):
             prefix, line = table[route]
 
-            def traced_prefix(tables, leading):
+            def traced_prefix(n, r, leading, binomials):
                 events.append(("prefix", route, leading))
-                return prefix(tables, leading)
+                return prefix(n, r, leading, binomials)
 
             def traced_line(state, degrees):
                 events.append(("line", route, tuple(degrees)))
@@ -591,19 +591,72 @@ class TestSearch:
         walked = [lead + (p,) for batch in batches for lead, last in batch for p in last]
         assert walked == list(degree_grid(3, 2, 9))
 
-    def test_long_lines_are_cut_into_pieces(self):
+    def test_long_lines_are_cut_into_batches(self):
         # a line step holds at most 256 values, however wide the grid is
         import durfee.conjecture as conjecture
 
-        pieces = list(conjecture._lines(1, 2, 600, "full_grid"))
-        assert pieces == [((), range(2, 258)), ((), range(258, 514)), ((), range(514, 601))]
-        first, second, third = list(conjecture._lines(2, 2, 300, "full_grid"))[:3]
+        def cut(r, p_max):
+            lines = conjecture._lines(r, 2, p_max, "full_grid")
+            return [piece for batch in conjecture._batches(lines, 256) for piece in batch]
+
+        assert cut(1, 600) == [((), range(2, 258)), ((), range(258, 514)), ((), range(514, 601))]
+        first, second, third = cut(2, 300)[:3]
         assert (first, second) == (((2,), range(2, 258)), ((2,), range(258, 301)))
-        assert third == ((3,), range(3, 259))
+        assert third == ((3,), range(3, 216))  # the rest of the second batch
         # lazy: a grid far past any list is never listed up front
-        huge = conjecture._lines(1, 2, 10**30, "full_grid")
-        assert next(iter(huge)) == ((), range(2, 258))
+        huge = conjecture._batches(conjecture._lines(1, 2, 10**30, "full_grid"), 256)
+        assert next(huge) == [((), range(2, 258))]
         assert search(1, 1, 2, 600, mode="full_grid") == search_oracle(1, 1, 2, 600, "full_grid")
+
+    def test_hypersurface_lines_take_one_comb_per_spec(self, monkeypatch):
+        # at r = 1 only the last part k = n has a nonzero composition sum,
+        # so the compositions route takes C(p, n+1) and no other binomial of p
+        import durfee.invariants as invariants
+        from math import comb
+
+        calls = []
+
+        def counted(m, k):
+            calls.append((m, k))
+            return comb(m, k)
+
+        monkeypatch.setattr(invariants, "comb", counted)
+        result = search(3, 1, 5, 605, mode="full_grid")
+        monkeypatch.undo()
+        # the series route's prefix takes C(N, k), k <= n, once per batch of 256
+        assert [c for c in calls if c[0] != 4] == [(p, 4) for p in range(5, 606)]
+        assert len(calls) == 601 + 3 * 4
+        assert result == search_oracle(3, 1, 5, 605, "full_grid")
+
+    def test_binomial_table_stays_bounded(self, monkeypatch):
+        # a wide grid fills the search's table of C(m, N) past its size, and
+        # the table is emptied rather than grown; the result does not change
+        import durfee.conjecture as conjecture
+        import durfee.invariants as invariants
+
+        tables = []
+
+        def kept(k):
+            tables.append(invariants.binomial_table(k))
+            return tables[-1]
+
+        monkeypatch.setattr(invariants, "_TABLE_ENTRIES", 16)
+        monkeypatch.setattr(conjecture, "binomial_table", kept)
+        calls = []
+
+        def counted(m, k):
+            calls.append((m, k))
+            return binomial(m, k)
+
+        monkeypatch.setattr(invariants, "binomial", counted)
+        for n, r, p_max, mode in [(2, 1, 300, "full_grid"), (3, 3, 12, "full_grid"),
+                                  (2, 3, 80, "equal_degrees")]:
+            tables[:], calls[:] = [], []
+            result = search(n, r, 2, p_max, mode=mode)
+            (table,) = tables
+            assert len(calls) > 3 * 16
+            assert len(table) <= 16
+            assert result == search_oracle(n, r, 2, p_max, mode)
 
     def test_route_disagreement_names_the_spec_and_both_values(self, monkeypatch):
         import durfee.invariants as invariants

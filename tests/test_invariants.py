@@ -18,7 +18,7 @@ from durfee import (
     milnor_number,
 )
 from durfee.conjecture import judge
-from durfee.invariants import GENUS_STEPS, MILNOR_STEPS, LineTables
+from durfee.invariants import GENUS_STEPS, MILNOR_STEPS, binomial_table
 
 from _oracles import (
     equal_degree_genus,
@@ -496,7 +496,7 @@ class TestSplitRoutes:
             oracle = self.ORACLES[route]
             if oracle not in expected:
                 expected[oracle] = [oracle(n, leading + (p,)) for p in last_degrees]
-            state = prefix(LineTables(n, r), leading)
+            state = prefix(n, r, leading, binomial_table(n + r))
             assert line(state, last_degrees) == expected[oracle], route
             assert [line(state, (p,))[0] for p in last_degrees] == expected[oracle], route
         for p in last_degrees:
