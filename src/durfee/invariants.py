@@ -35,9 +35,8 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import comb, prod
-from operator import getitem, sub
+from operator import getitem
 from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
@@ -183,24 +182,19 @@ def _series_prefix(n: int, r: int, leading: Sequence[int], binomials):
     return c, prod(leading)
 
 
-def _chi_line(state, degrees: Sequence[int]) -> list[int]:
-    """Euler characteristic of the Milnor fiber, [x^n] (1+x)^N / prod(1 + p x)."""
+def _series_line(state, degrees: Sequence[int]) -> list[int]:
+    """(-1)^n (chi - 1), where chi = [x^n] (1+x)^N / prod(1 + p x) is the
+    Euler characteristic of the Milnor fiber."""
     c, product = state
     first, tail = c[0], c[1:]
+    sign = (-1) ** len(tail)
     values = []
     for p in degrees:
         top = first
         for ck in tail:
             top = ck - p * top
-        values.append(product * p * top)
+        values.append(sign * (product * p * top - 1))
     return values
-
-
-def _series_line(state, degrees: Sequence[int]) -> list[int]:
-    chis = _chi_line(state, degrees)
-    if len(state[0]) % 2:  # n even: chi - 1, else 1 - chi
-        return list(map(sub, chis, repeat(1)))
-    return list(map(sub, repeat(1), chis))
 
 
 def _compositions_prefix(n: int, r: int, leading: Sequence[int], binomials):
@@ -298,7 +292,7 @@ def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
 
 def milnor_fiber_euler(spec: DegreeSpec) -> int:
     """Euler characteristic of the Milnor fiber; equals (-1)^n mu + 1."""
-    return _folded((_series_prefix, _chi_line), spec)
+    return (-1) ** spec.n * _milnor_series(spec) + 1
 
 
 def _genus_compositions(spec: DegreeSpec) -> int:
