@@ -499,6 +499,8 @@ class TestSplitRoutes:
             state = prefix(n, r, leading, binomial_table(n + r))
             assert line(state, last_degrees) == expected[oracle], route
             assert [line(state, (p,))[0] for p in last_degrees] == expected[oracle], route
+            # without a table, as a spec on its own folds
+            assert line(prefix(n, r, leading, None), last_degrees) == expected[oracle], route
         for p in last_degrees:
             spec = DegreeSpec(n, leading + (p,))
             assert milnor_fiber_euler(spec) == euler_brute(n, spec.degrees)
