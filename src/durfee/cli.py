@@ -573,7 +573,10 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    try:
+        args = _parser.parse_args(argv)
+    except SystemExit as exc:  # argparse wrote its usage error (2) or the help (0)
+        return exc.code
     try:
         doc = args.func(args)
         if isinstance(doc, int):  # selftest prints its own lines

@@ -5,15 +5,15 @@ but fails once the codimension grows; the replacement has coefficient
 C(n, r) from the bounds module, strict for surfaces with r >= 2 where the
 asymptotically sharp coefficient drops from 6 to below 36/7.  judge()
 compares agreed values of mu and p_g with both bounds in integers only and
-returns every per-spec value a report prints, verify() cross-checks mu and
-p_g first and judges them, search() walks a degree grid by lines (the specs
-that share all degrees but the last: each route folds a line's leading
-degrees once and finishes the whole line in one step) with the same
-cross-checks as verify(), keeps a lean Violation (spec, mu, p_g, kinds) for
-each spec that fails an integer comparison, and reports them
-deterministically, trace_ratio() reads mu / p_g off verify()'s verdicts,
-and the identity checks pin the exact linear relations between mu, p_g and
-the degree product that the verdicts rest on.
+returns every per-spec value a report prints, verify() judges the mu and
+p_g that invariants.agreed_invariants() cross-checks, search() walks a
+degree grid by lines (the specs that share all degrees but the last),
+cross-checks each line with invariants.agreed_line(), keeps a lean
+Violation (spec, mu, p_g, kinds) for each spec that fails an integer
+comparison, and reports them deterministically, trace_ratio() reads
+mu / p_g off verify()'s verdicts, and the identity checks pin the exact
+linear relations between mu, p_g and the degree product that the verdicts
+rest on.  No route is named here: the invariants module holds them all.
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .bounds import balanced_min_product, bound_coefficient, min_product_bound
 from .exactmath import falling_factorial
 from .invariants import (
-    GENUS_STEPS,
-    MILNOR_METHODS,
-    MILNOR_STEPS,
     DegreeSpec,
-    agreed_value,
+    agreed_invariants,
+    agreed_line,
     binomial_table,
-    disagreement,
     geometric_genus,
     milnor_number,
 )
@@ -47,10 +44,6 @@ IDENTITY_VERIFIED = "identity-verified"
 IDENTITY_FAILED = "identity-failed"
 
 SEARCH_MODES = ("equal_degrees", "full_grid")
-
-# The genus routes verify() cross-checks: the distinct ones that are not
-# dense in the degrees, unlike series_coeff.
-VERIFY_PG_METHODS = ("compositions", "inclusion_exclusion")
 
 # the fixed coefficients of judge(), built once
 _TWO, _FOUR, _SIX = Fraction(2), Fraction(4), Fraction(6)
@@ -146,11 +139,10 @@ class TracePoint(NamedTuple):
 def verify(spec: DegreeSpec) -> VerdictReport:
     """Evaluate one spec against the applicable bound, cross-checked.
 
-    mu and p_g are each computed by the routes in MILNOR_METHODS and
-    VERIFY_PG_METHODS, which must agree, and then judged.
+    mu and p_g are each computed by several routes, which must agree
+    (agreed_invariants()), and then judged.
     """
-    mu = agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor")
-    pg = agreed_value(spec, VERIFY_PG_METHODS, geometric_genus, "genus")
+    mu, pg = agreed_invariants(spec)
     return judge(spec, mu, pg)
 
 
@@ -339,18 +331,6 @@ def _lines(r: int, p_min: int, p_max: int, mode: str) -> Iterable[tuple]:
     )
 
 
-def _agreed_line(steps, n: int, r: int, binomials, leading, last_degrees, label: str) -> list[int]:
-    """Every route's values on one line, compared as whole lists; at the first
-    spec where they differ, raises as agreed_value() does."""
-    values = [line(prefix(n, r, leading, binomials), last_degrees) for _, prefix, line in steps]
-    if values.count(values[0]) != len(values):
-        for p, column in zip(last_degrees, zip(*values)):
-            if column.count(column[0]) != len(column):
-                spec = DegreeSpec(n, leading + (p,))
-                raise disagreement(label, spec, {m: v for (m, _, _), v in zip(steps, column)})
-    return values[0]
-
-
 _STRONG = ("strong-durfee",)
 _COEFFICIENT = ("coefficient-bound",)
 
@@ -358,21 +338,17 @@ _COEFFICIENT = ("coefficient-bound",)
 def _line_violations(n: int, r: int, lines: Iterable[tuple]) -> list[Violation]:
     """The violations on the given lines, in grid order.
 
-    Each route folds a line's leading degrees once and returns the whole
-    line's values in one step, so the lines should be short (_batches()
-    cuts them); both routes of each invariant are compared on every spec
-    of the line.  A spec's kinds come from two integer comparisons,
-    mu < (n+1)! p_g and, for surfaces, mu < C(2, r) p_g.
+    agreed_line() folds a line's leading degrees once per route and returns
+    the whole line's values in one step, so the lines should be short
+    (_batches() cuts them).  A spec's kinds come from two integer
+    comparisons, mu < (n+1)! p_g and, for surfaces, mu < C(2, r) p_g.
     """
     binomials = binomial_table(n + r)
-    mu_steps = [(m, *MILNOR_STEPS[m]) for m in MILNOR_METHODS]
-    pg_steps = [(m, *GENUS_STEPS[m]) for m in VERIFY_PG_METHODS]
     surface = n == 2
     strong = None
     violations = []
     for leading, last_degrees in lines:
-        mus = _agreed_line(mu_steps, n, r, binomials, leading, last_degrees, "milnor")
-        pgs = _agreed_line(pg_steps, n, r, binomials, leading, last_degrees, "genus")
+        mus, pgs = agreed_line(n, r, binomials, leading, last_degrees)
         if strong is None:
             # only after the first folds: they fail at once on an n or r too
             # large to compute, where C(n, r) would run for as long as r

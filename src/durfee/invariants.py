@@ -14,18 +14,18 @@ genuinely different exact computations:
     inclusion-exclusion count of lattice points keyed by signed subset sum,
     from a z-series coefficient of prod_i (1 - z^(p_i)) / (1-z)^(N+1).
 
-Each route is implemented independently so any one can certify another;
-agreed_value() runs a set of routes and returns the one value they agree
-on, or raises CrossCheckError naming every route's value.  Every route but
-the dense z-series one is a fold over the degrees, split into a prefix step
-over all degrees but the last and a line step that returns the value for
-each of a list of last degrees (MILNOR_STEPS, GENUS_STEPS): a spec's value
-is line(prefix(n, r, degrees[:-1], binomials), degrees[-1:])[0], and a search
-folds one prefix for a whole line of specs that differ only in their last
-degree and finishes the line in one call.  The binomials C(m, N) that
-inclusion-exclusion sums come from a binomial_table() in a search, which
-fills one lazily, once per walk, and drops it with the walk; a spec on its
-own takes them from binomial() straight.
+Each route is implemented independently so any one can certify another,
+and is named once, as a route -> (prefix, line) entry of MILNOR_ROUTES or
+GENUS_ROUTES that every caller reads: the prefix step folds all degrees but
+the last, and the line step returns the value for each of a list of last
+degrees.  A spec's value is line(prefix(n, r, degrees[:-1], None),
+degrees[-1:])[0], and a search folds one prefix for a whole line of specs.
+agreed_invariants() and agreed_line() run the routes on a spec or on a line
+and return the values they agree on, or raise CrossCheckError naming every
+route's value.  The binomials C(m, N) that inclusion-exclusion sums come
+from a binomial_table() in a search, which fills one lazily, once per walk,
+and drops it with the walk; a spec on its own takes them from binomial()
+straight.
 
 A degree equal to 1 is a hyperplane and does not change the germ, only the
 ambient dimension, and every formula here is symmetric in the degrees; so
@@ -41,9 +41,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
 from .series import TruncatedSeries
-
-MILNOR_METHODS = ("closed_sum", "series")
-GENUS_METHODS = ("compositions", "inclusion_exclusion", "series_coeff")
 
 SMOOTHNESS_NOTE = (
     "values assume a smooth generic complete intersection of the given degrees"
@@ -134,12 +131,11 @@ def binomial_table(k: int) -> dict[int, int]:
     return table
 
 
-# The split routes: prefix(n, r, leading, binomials) folds all degrees but
-# the last into a state, and line(state, degrees) returns the value for each
-# last degree in degrees.  binomials is the binomial_table(n + r) that
-# inclusion-exclusion reads and the other routes ignore, or None for a spec
-# on its own.  No line step mutates its state, so one prefix serves every
-# spec of a line.
+# The routes: prefix(n, r, leading, binomials) -> state, and
+# line(state, degrees) -> one value per last degree.  binomials is the
+# binomial_table(n + r) that inclusion-exclusion reads and the other routes
+# ignore, or None for a spec on its own.  No line step mutates its state, so
+# one prefix serves every spec of a line.
 
 
 def _closed_sum_prefix(n: int, r: int, leading: Sequence[int], binomials):
@@ -256,76 +252,76 @@ def _inclusion_exclusion_line(state, degrees: Sequence[int]) -> list[int]:
     return values
 
 
-# route -> (prefix, line), for every route but the dense series_coeff
-MILNOR_STEPS = {
+def _series_coeff_prefix(n: int, r: int, leading: Sequence[int], binomials):
+    """n and the leading degrees: the z-series is dense, so each spec builds its own."""
+    return n, tuple(leading)
+
+
+def _series_coeff_line(state, degrees: Sequence[int]) -> list[int]:
+    """[z^(sum(p) - N)] prod_i (1 - z^(p_i)) / (1-z)^(N+1), one series per last degree."""
+    n, leading = state
+    values = []
+    for p in degrees:
+        spec_degrees = leading + (p,)
+        N = n + len(spec_degrees)
+        target = sum(spec_degrees) - N
+        if target < 0:
+            values.append(0)
+            continue
+        num = TruncatedSeries([1], target)
+        for q in spec_degrees:
+            num = num * TruncatedSeries([1] + [0] * (q - 1) + [-1], target)
+        binomials = TruncatedSeries([1, -1], target) ** -(N + 1)
+        c = (num * binomials).coefficient(target)
+        if c.denominator != 1:
+            spec = DegreeSpec(n, spec_degrees)
+            raise CrossCheckError(f"genus coefficient for {spec} is not an integer: {c}")
+        values.append(c.numerator)
+    return values
+
+
+# route -> (prefix, line), the one place each route is named; the order is
+# the order the routes run in and are reported in
+MILNOR_ROUTES = {
     "closed_sum": (_closed_sum_prefix, _closed_sum_line),
     "series": (_series_prefix, _series_line),
 }
-GENUS_STEPS = {
+GENUS_ROUTES = {
     "compositions": (_compositions_prefix, _compositions_line),
     "inclusion_exclusion": (_inclusion_exclusion_prefix, _inclusion_exclusion_line),
+    "series_coeff": (_series_coeff_prefix, _series_coeff_line),
 }
+MILNOR_METHODS = tuple(MILNOR_ROUTES)
+GENUS_METHODS = tuple(GENUS_ROUTES)
+# the genus routes verify() and search() cross-check: every one but the
+# series_coeff, which is dense in the degrees
+VERIFY_PG_METHODS = ("compositions", "inclusion_exclusion")
 
 
-def _folded(steps, spec: DegreeSpec) -> int:
-    prefix, line = steps
+def _folded(routes, method: str, spec: DegreeSpec, label: str) -> int:
+    """spec's value by one route: the prefix on all degrees but the last, the line on the last."""
+    try:
+        prefix, line = routes[method]
+    except (KeyError, TypeError):  # not a route name, or not even hashable
+        choices = tuple(routes)
+        raise ValueError(f"unknown {label} method {method!r}; choose from {choices}") from None
     n, degrees = spec
     return line(prefix(n, len(degrees), degrees[:-1], None), degrees[-1:])[0]
 
 
-def _milnor_closed_sum(spec: DegreeSpec) -> int:
-    return _folded(MILNOR_STEPS["closed_sum"], spec)
-
-
-def _milnor_series(spec: DegreeSpec) -> int:
-    return _folded(MILNOR_STEPS["series"], spec)
-
-
 def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
     """Milnor number of the cone singularity, by the chosen route."""
-    if method == "closed_sum":
-        return _milnor_closed_sum(spec)
-    if method == "series":
-        return _milnor_series(spec)
-    raise ValueError(f"unknown milnor method {method!r}; choose from {MILNOR_METHODS}")
+    return _folded(MILNOR_ROUTES, method, spec, "milnor")
 
 
 def milnor_fiber_euler(spec: DegreeSpec) -> int:
     """Euler characteristic of the Milnor fiber; equals (-1)^n mu + 1."""
-    return (-1) ** spec.n * _milnor_series(spec) + 1
-
-
-def _genus_compositions(spec: DegreeSpec) -> int:
-    return _folded(GENUS_STEPS["compositions"], spec)
-
-
-def _genus_inclusion_exclusion(spec: DegreeSpec) -> int:
-    return _folded(GENUS_STEPS["inclusion_exclusion"], spec)
-
-
-def _genus_series(spec: DegreeSpec) -> int:
-    target = sum(spec.degrees) - spec.ambient_dim
-    if target < 0:
-        return 0
-    num = TruncatedSeries([1], target)
-    for p in spec.degrees:
-        num = num * TruncatedSeries([1] + [0] * (p - 1) + [-1], target)
-    binomials = TruncatedSeries([1, -1], target) ** -(spec.ambient_dim + 1)
-    c = (num * binomials).coefficient(target)
-    if c.denominator != 1:
-        raise CrossCheckError(f"genus coefficient for {spec} is not an integer: {c}")
-    return c.numerator
+    return (-1) ** spec.n * _folded(MILNOR_ROUTES, "series", spec, "milnor") + 1
 
 
 def geometric_genus(spec: DegreeSpec, method: str = "compositions") -> int:
     """Geometric genus of the cone singularity (delta invariant when n = 1)."""
-    if method == "compositions":
-        return _genus_compositions(spec)
-    if method == "inclusion_exclusion":
-        return _genus_inclusion_exclusion(spec)
-    if method == "series_coeff":
-        return _genus_series(spec)
-    raise ValueError(f"unknown genus method {method!r}; choose from {GENUS_METHODS}")
+    return _folded(GENUS_ROUTES, method, spec, "genus")
 
 
 class InvariantReport(NamedTuple):
@@ -336,12 +332,7 @@ class InvariantReport(NamedTuple):
     pg: int
 
 
-def agreed_value(
-    spec: DegreeSpec,
-    methods: Sequence[str],
-    compute: Callable[[DegreeSpec, str], int],
-    label: str,
-) -> int:
+def agreed_value(spec: DegreeSpec, methods: Sequence[str], compute: Callable, label: str) -> int:
     """The value every route in methods gives for spec.
 
     Raises CrossCheckError, naming the spec and every route's value, unless
@@ -353,6 +344,36 @@ def agreed_value(
     return values[methods[0]]
 
 
+def agreed_invariants(spec: DegreeSpec, genus_methods=VERIFY_PG_METHODS) -> tuple[int, int]:
+    """mu on every Milnor route and p_g on the genus_methods routes, each agreed on."""
+    mu = agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor")
+    return mu, agreed_value(spec, genus_methods, geometric_genus, "genus")
+
+
+def agreed_line(n: int, r: int, binomials, leading: tuple[int, ...], last_degrees) -> list:
+    """[mu values, p_g values] of the specs leading + (p,), p in last_degrees,
+    on the routes agreed_invariants() takes, with the walk's binomial table.
+
+    Each route's values are compared as whole lists; at the first spec where
+    they differ, this raises as agreed_value() does.
+    """
+    agreed = []
+    for label, routes, methods in (
+        ("milnor", MILNOR_ROUTES, MILNOR_METHODS), ("genus", GENUS_ROUTES, VERIFY_PG_METHODS)
+    ):
+        values = []
+        for method in methods:
+            prefix, line = routes[method]
+            values.append(line(prefix(n, r, leading, binomials), last_degrees))
+        if values.count(values[0]) != len(values):
+            for p, column in zip(last_degrees, zip(*values)):
+                if column.count(column[0]) != len(column):
+                    spec = DegreeSpec(n, leading + (p,))
+                    raise disagreement(label, spec, dict(zip(methods, column)))
+        agreed.append(values[0])
+    return agreed
+
+
 def disagreement(label: str, spec: DegreeSpec, values: dict[str, int]) -> CrossCheckError:
     """The CrossCheckError for routes that disagree, naming the spec and every route's value."""
     with unlimited_int_str():
@@ -362,8 +383,5 @@ def disagreement(label: str, spec: DegreeSpec, values: dict[str, int]) -> CrossC
 
 def invariant_report(spec: DegreeSpec) -> InvariantReport:
     """Compute mu and p_g by every route and enforce agreement."""
-    return InvariantReport(
-        spec=spec,
-        mu=agreed_value(spec, MILNOR_METHODS, milnor_number, "milnor"),
-        pg=agreed_value(spec, GENUS_METHODS, geometric_genus, "genus"),
-    )
+    mu, pg = agreed_invariants(spec, GENUS_METHODS)
+    return InvariantReport(spec=spec, mu=mu, pg=pg)

@@ -26,12 +26,29 @@ from durfee.cli import (
     render_table,
 )
 from durfee.exactmath import CrossCheckError, unlimited_int_str
+from durfee.invariants import GENUS_ROUTES, MILNOR_ROUTES, VERIFY_PG_METHODS
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# (label, route) of every registry route; the label is the one a
+# disagreement of the invariant's routes names
+REGISTRY_ROUTES = [("milnor", route) for route in MILNOR_ROUTES] + [
+    ("genus", route) for route in GENUS_ROUTES
+]
+
+
+def off_by_one(monkeypatch, label, route):
+    """Make one registry route's line step return each value plus one."""
+    routes = MILNOR_ROUTES if label == "milnor" else GENUS_ROUTES
+    prefix, line = routes[route]
+    monkeypatch.setitem(
+        routes, route, (prefix, lambda state, degrees: [v + 1 for v in line(state, degrees)])
+    )
 
 
 def run_fresh(*argv):
@@ -432,13 +449,7 @@ class TestSearchCommand:
     def test_route_disagreement_exits_3(self, capsys, monkeypatch):
         # one route's line step off by one: the line walk compares both
         # routes at every spec, so the first spec already fails
-        import durfee.invariants as invariants
-
-        prefix, line = invariants.MILNOR_STEPS["series"]
-        monkeypatch.setitem(
-            invariants.MILNOR_STEPS, "series",
-            (prefix, lambda state, degrees: [value + 1 for value in line(state, degrees)]),
-        )
+        off_by_one(monkeypatch, "milnor", "series")
         code, out, err = run_cli(
             capsys, "search", "--n", "2", "--r", "3", "--p", "2..5", "--full-grid"
         )
@@ -451,9 +462,13 @@ class TestSearchCommand:
 
     def test_equal_flag_is_gone(self, capsys):
         # equal degrees are the default, and there is no flag that selects them
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "--n", "2", "--r", "2", "--p", "2..6", "--equal"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(
+            capsys, "search", "--n", "2", "--r", "2", "--p", "2..6", "--equal"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: durfee ")
+        assert err.endswith("\ndurfee: error: unrecognized arguments: --equal\n")
 
     def test_bad_span_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "search", "--n", "2", "--r", "2", "--p", "2-6")
@@ -479,12 +494,11 @@ class TestTraceCommand:
         assert rows[1][7] == "false" and rows[1][3] == ""
         assert rows[3][7] == "true"
 
-    @pytest.mark.parametrize("route", ["_milnor_series", "_genus_inclusion_exclusion"])
-    def test_values_are_cross_checked(self, capsys, monkeypatch, route):
-        import durfee.invariants as invariants
-
-        original = getattr(invariants, route)
-        monkeypatch.setattr(invariants, route, lambda spec: original(spec) + 1)
+    @pytest.mark.parametrize(
+        "label, route", [("milnor", "series"), ("genus", "inclusion_exclusion")]
+    )
+    def test_values_are_cross_checked(self, capsys, monkeypatch, label, route):
+        off_by_one(monkeypatch, label, route)
         code, out, err = run_cli(capsys, "trace", "--n", "2", "--r", "2", "--p", "3,10")
         assert code == 3
         assert out == ""
@@ -520,12 +534,7 @@ class TestLongResults:
         assert max(len(word) for word in text.replace(",", " ").split()) > 4300
 
     def test_long_disagreement_exits_3(self, capsys, monkeypatch):
-        import durfee.invariants as invariants
-
-        original = invariants._genus_inclusion_exclusion
-        monkeypatch.setattr(
-            invariants, "_genus_inclusion_exclusion", lambda spec: original(spec) + 1
-        )
+        off_by_one(monkeypatch, "genus", "inclusion_exclusion")
         limit = sys.get_int_max_str_digits()
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--degrees", self.BIG)
         assert code == 3
@@ -606,12 +615,34 @@ class TestExitCodes:
     )
     def test_integer_options_take_ascii_digits_only(self, capsys, argv):
         # the bad value comes last; argparse rejects it with int's usage error
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
         assert out == ""
-        assert err.rstrip().endswith(f"argument {argv[-2]}: invalid int value: {argv[-1]!r}")
+        assert err.startswith(f"usage: durfee {argv[0]} ")
+        assert err.endswith(
+            f"\ndurfee {argv[0]}: error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n"
+        )
+
+    @pytest.mark.parametrize("label, route", REGISTRY_ROUTES)
+    def test_one_route_off_by_one_exits_3(self, capsys, monkeypatch, label, route):
+        # every command cross-checks the routes it reports from; the dense
+        # series_coeff is only among the routes of invariants
+        off_by_one(monkeypatch, label, route)
+        checked = label == "milnor" or route in VERIFY_PG_METHODS
+        for argv in (
+            ["invariants", "--n", "2", "--degrees", "3,4"],
+            ["verify", "--n", "2", "--degrees", "3,4"],
+            ["trace", "--n", "2", "--r", "2", "--p", "3,4"],
+            ["search", "--n", "2", "--r", "2", "--p", "2..5", "--full-grid"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            if checked or argv[0] == "invariants":
+                assert (code, out) == (3, ""), argv
+                assert err.startswith(
+                    f"internal cross-check failure: {label} methods disagree for DegreeSpec("
+                ), argv
+            else:
+                assert (code, err) == (0, ""), argv
 
     def test_unparsable_degrees(self, capsys):
         code, _, _ = run_cli(capsys, "invariants", "--n", "2", "--degrees", "x")
@@ -668,27 +699,48 @@ class TestExitCodes:
         for argv in contract_corpus():
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
-                capsys.readouterr()
-            except Exception as exc:
+            except (SystemExit, Exception) as exc:  # main returns every code itself
                 escaped.append((argv, repr(exc)))
                 continue
-            else:
-                out, err = capsys.readouterr()
-                # main's own failures are one error line and no report
-                if code == 2 and not (out == "" and err.count("\n") == 1
-                                      and err.startswith("error: ")):
-                    broken.append((argv, err))
+            out, err = capsys.readouterr()
             if code not in (0, 2, 3):
                 broken.append((argv, code))
+            elif code == 2 and not (out == "" and self._is_one_error(err)):
+                broken.append((argv, err))
         assert escaped == []
         assert broken == []
 
-    def test_missing_subcommand_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+    @staticmethod
+    def _is_one_error(err: str) -> bool:
+        """main's own failure, one error line; or argparse's usage, then one
+        `durfee ...: error: ...` line."""
+        if not err.startswith("usage: durfee"):
+            return err.count("\n") == 1 and err.startswith("error: ")
+        last = err.splitlines()[-1]
+        return (err.endswith("\n") and last.startswith("durfee")
+                and err.count(": error: ") == last.count(": error: ") == 1)
+
+    def test_missing_subcommand_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: durfee [-h] ")
+        assert err.endswith("\ndurfee: error: the following arguments are required: subcommand\n")
+
+    @pytest.mark.parametrize(
+        "argv, usage, listed",
+        [
+            (["--help"], "durfee [-h]", "selftest"),
+            (["search", "-h"], "durfee search [-h]", "--jobs"),
+        ],
+        ids=["durfee", "search"],
+    )
+    def test_help_prints_and_exits_0(self, capsys, argv, usage, listed):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert out.startswith(f"usage: {usage} ")
+        assert listed in out
 
 
 class TestSelftestCommand:

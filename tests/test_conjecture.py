@@ -32,11 +32,11 @@ from durfee.conjecture import (
     IDENTITY_VERIFIED,
     STRONG_HOLDS,
     STRONG_VIOLATED,
-    VERIFY_PG_METHODS,
     Violation,
     _order,
     judge,
 )
+from durfee.invariants import VERIFY_PG_METHODS
 
 
 @pytest.fixture
@@ -179,12 +179,12 @@ class TestVerify:
         assert set(VERIFY_PG_METHODS) <= set(GENUS_METHODS)
 
     def test_method_disagreement_raises(self, monkeypatch):
-        import durfee.conjecture as conj
+        import durfee.invariants as invariants
 
         def fake_milnor(spec, method="closed_sum"):
             return 80 if method == "closed_sum" else 81
 
-        monkeypatch.setattr(conj, "milnor_number", fake_milnor)
+        monkeypatch.setattr(invariants, "milnor_number", fake_milnor)
         with pytest.raises(CrossCheckError, match=r"\{'closed_sum': 80, 'series': 81\}"):
             verify(DegreeSpec(2, (3, 3)))
         # trace points go through verify(), so they are cross-checked alike
@@ -536,9 +536,9 @@ class TestSearch:
             monkeypatch.setitem(table, route, (traced_prefix, traced_line))
 
         for route in MILNOR_METHODS:
-            recorded(invariants.MILNOR_STEPS, route)
+            recorded(invariants.MILNOR_ROUTES, route)
         for route in VERIFY_PG_METHODS:
-            recorded(invariants.GENUS_STEPS, route)
+            recorded(invariants.GENUS_ROUTES, route)
 
         def refuse(*args):
             raise AssertionError("search built a verdict")
@@ -661,12 +661,12 @@ class TestSearch:
     def test_route_disagreement_names_the_spec_and_both_values(self, monkeypatch):
         import durfee.invariants as invariants
 
-        prefix, line = invariants.GENUS_STEPS["inclusion_exclusion"]
+        prefix, line = invariants.GENUS_ROUTES["inclusion_exclusion"]
 
         def off_at_4(state, degrees):
             return [value + (p == 4) for value, p in zip(line(state, degrees), degrees)]
 
-        monkeypatch.setitem(invariants.GENUS_STEPS, "inclusion_exclusion", (prefix, off_at_4))
+        monkeypatch.setitem(invariants.GENUS_ROUTES, "inclusion_exclusion", (prefix, off_at_4))
         with pytest.raises(CrossCheckError) as info:
             search(2, 2, 2, 5, mode="full_grid")
         assert str(info.value) == (

@@ -1,9 +1,12 @@
+import ast
 import pickle
 import random
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import durfee
 from durfee import (
     CrossCheckError,
     DegreeSpec,
@@ -18,7 +21,7 @@ from durfee import (
     milnor_number,
 )
 from durfee.conjecture import judge
-from durfee.invariants import GENUS_STEPS, MILNOR_STEPS, binomial_table
+from durfee.invariants import GENUS_ROUTES, MILNOR_ROUTES, VERIFY_PG_METHODS, binomial_table
 
 from _oracles import (
     equal_degree_genus,
@@ -449,7 +452,10 @@ class TestInvariantReport:
     def test_disagreement_raises(self, monkeypatch):
         import durfee.invariants as inv
 
-        monkeypatch.setattr(inv, "_genus_series", lambda spec: -1)
+        prefix, _ = inv.GENUS_ROUTES["series_coeff"]
+        monkeypatch.setitem(
+            inv.GENUS_ROUTES, "series_coeff", (prefix, lambda state, degrees: [-1] * len(degrees))
+        )
         with pytest.raises(CrossCheckError) as info:
             invariant_report(DegreeSpec(2, (3, 3)))
         # the message names the spec and every route's value
@@ -474,17 +480,39 @@ def _line_shapes():
     return shapes
 
 
+def _genus_coefficient(n: int, degrees: tuple[int, ...]) -> int:
+    return genus_series_brute(degrees, n)
+
+
 class TestSplitRoutes:
     ORACLES = {
         "closed_sum": milnor_brute,
         "series": milnor_brute,
         "compositions": genus_brute,
-        "inclusion_exclusion": lambda n, degrees: genus_series_brute(degrees, n),
+        "inclusion_exclusion": _genus_coefficient,
+        "series_coeff": _genus_coefficient,
     }
 
-    def test_every_route_but_the_dense_series_is_split(self):
-        assert set(MILNOR_STEPS) == set(MILNOR_METHODS)
-        assert set(GENUS_STEPS) == set(GENUS_METHODS) - {"series_coeff"}
+    def test_the_registries_list_every_route_in_order(self):
+        assert MILNOR_METHODS == tuple(MILNOR_ROUTES) == ("closed_sum", "series")
+        assert GENUS_METHODS == tuple(GENUS_ROUTES) == (
+            "compositions", "inclusion_exclusion", "series_coeff"
+        )
+        assert set(VERIFY_PG_METHODS) < set(GENUS_ROUTES)
+        assert set(self.ORACLES) == set(MILNOR_ROUTES) | set(GENUS_ROUTES)
+
+    @pytest.mark.parametrize(
+        "compute, label, method, choices",
+        [
+            (milnor_number, "milnor", "compositions", MILNOR_METHODS),
+            (geometric_genus, "genus", "series", GENUS_METHODS),
+            (geometric_genus, "genus", ["compositions"], GENUS_METHODS),
+        ],
+    )
+    def test_an_unknown_method_names_the_choices(self, compute, label, method, choices):
+        with pytest.raises(ValueError) as info:
+            compute(DegreeSpec(2, (3, 3)), method)
+        assert str(info.value) == f"unknown {label} method {method!r}; choose from {choices}"
 
     @pytest.mark.parametrize("n, leading, last_degrees", _line_shapes())
     def test_last_of_prefix_matches_the_brute_oracles(self, n, leading, last_degrees):
@@ -492,7 +520,7 @@ class TestSplitRoutes:
         # one line step gives the same values as a step per spec
         r = len(leading) + 1
         expected = {}
-        for route, (prefix, line) in {**MILNOR_STEPS, **GENUS_STEPS}.items():
+        for route, (prefix, line) in {**MILNOR_ROUTES, **GENUS_ROUTES}.items():
             oracle = self.ORACLES[route]
             if oracle not in expected:
                 expected[oracle] = [oracle(n, leading + (p,)) for p in last_degrees]
@@ -504,3 +532,43 @@ class TestSplitRoutes:
         for p in last_degrees:
             spec = DegreeSpec(n, leading + (p,))
             assert milnor_fiber_euler(spec) == euler_brute(n, spec.degrees)
+
+
+class TestRouteRegistry:
+    ROUTE_NAMES = {"closed_sum", "series", "compositions", "inclusion_exclusion", "series_coeff"}
+    # what the registries replaced: a step table per invariant and a
+    # wrapper per route
+    DELETED = (
+        "MILNOR_STEPS", "GENUS_STEPS", "_milnor_closed_sum", "_milnor_series",
+        "_genus_compositions", "_genus_inclusion_exclusion", "_genus_series",
+    )
+    SOURCES = sorted(Path(durfee.__file__).parent.glob("*.py"))
+
+    def test_route_names_live_in_one_module(self):
+        # every string constant that names a route is in invariants.py; the
+        # one exception is __init__.__all__, where "compositions" names the
+        # exactmath function
+        assert durfee.compositions is durfee.exactmath.compositions
+        found = []
+        for path in self.SOURCES:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            exempt = set()
+            if path.name == "__init__.py":
+                (listing,) = [
+                    node.value for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+                ]
+                exempt = {id(node) for node in ast.walk(listing)}
+            found += [
+                (path.name, node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value in self.ROUTE_NAMES and id(node) not in exempt
+            ]
+        assert {name for name, _ in found} == {"invariants.py"}
+        assert {value for _, value in found} == self.ROUTE_NAMES
+
+    def test_the_replaced_names_are_gone(self):
+        for path in self.SOURCES:
+            text = path.read_text(encoding="utf-8")
+            assert [name for name in self.DELETED if name in text] == [], path.name
