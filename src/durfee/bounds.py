@@ -6,7 +6,11 @@ The central object is the exact rational
     S(n, r) = sum over weak compositions (k_1..k_r) of n of prod 1/(k_i+1)!,
 
 the limiting value of mu / p_g along equal degrees p -> infinity.  S(n, r)
-collapses to the closed form stirling2(n+r, r) * r! / (n+r)!.
+collapses to the closed form stirling2(n+r, r) * r! / (n+r)!, so C(n, r)
+is the integer quotient binomial(n+r-1, n) (n+r)! / (stirling2(n+r, r) r!),
+memoised as its reduced numerator and denominator: a search compares in
+integers and never builds a Fraction, and this module imports fractions
+only inside the functions that return one.
 
 C(n, 1) = (n+1)! recovers the classical strong Durfee coefficient; for
 fixed n the sequence is non-increasing in r and approaches 2^n from above.
@@ -26,9 +30,9 @@ by exactmath.product_coefficients without enumerating compositions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, prod
-from typing import NamedTuple
+from collections import namedtuple
+from math import factorial, gcd, prod
+from typing import TYPE_CHECKING
 
 from .exactmath import (
     CrossCheckError,
@@ -38,6 +42,9 @@ from .exactmath import (
     product_coefficients,
     stirling2,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def composition_factorial_sum(n: int, r: int) -> Fraction:
@@ -49,6 +56,8 @@ def composition_factorial_sum(n: int, r: int) -> Fraction:
     weights 1/(k+1)! run as the integers (n+1)!/(k+1)!, so the coefficient
     is divided by ((n+1)!)^r.  The Stirling closed form is the independent route.
     """
+    from fractions import Fraction
+
     if n < 0 or r < 0:
         raise ValueError("expected n >= 0 and r >= 0")
     scale = factorial(n + 1)
@@ -58,18 +67,14 @@ def composition_factorial_sum(n: int, r: int) -> Fraction:
 
 def stirling_factorial_sum(n: int, r: int) -> Fraction:
     """S(n, r) via the closed form stirling2(n+r, r) * r! / (n+r)!."""
+    from fractions import Fraction
+
     if n < 0 or r < 0:
         raise ValueError("expected n >= 0 and r >= 0")
     return Fraction(stirling2(n + r, r) * factorial(r), factorial(n + r))
 
 
-class _BoundCoefficientFields(NamedTuple):
-    n: int
-    r: int
-    value: Fraction
-
-
-class BoundCoefficient(_BoundCoefficientFields):
+class BoundCoefficient(namedtuple("_BoundCoefficientFields", ("n", "r", "value"))):
     """One exact bound coefficient C(n, r) with its floor invariants."""
 
     __slots__ = ()
@@ -88,20 +93,39 @@ class BoundCoefficient(_BoundCoefficientFields):
         return cls(*iterable)
 
 
-# C(n, r) by (n, r), filled on first use: verify() asks for the same few
-# coefficients once per spec.  A plain dict, because functools.cache would
-# give the function a __wrapped__ attribute.
+# C(n, r) by (n, r), filled on first use: verify() and search() ask for the
+# same few coefficients once per spec or line.  The reduced numerator and
+# denominator are kept, and the Fraction once bound_coefficient() builds
+# it.  Plain dicts, because functools.cache would give the functions a
+# __wrapped__ attribute.
+_BOUND_RATIOS: dict[tuple[int, int], tuple[int, int]] = {}
 _BOUND_COEFFICIENTS: dict[tuple[int, int], Fraction] = {}
 
 
+def bound_ratio(n: int, r: int) -> tuple[int, int]:
+    """C(n, r) as its numerator and denominator in lowest terms, memoised.
+
+    By the Stirling closed form, C(n, r) = binomial(n+r-1, n) (n+r)! /
+    (stirling2(n+r, r) r!); no Fraction is built.
+    """
+    ratio = _BOUND_RATIOS.get((n, r))
+    if ratio is None:
+        if n < 1 or r < 1:
+            raise ValueError("expected n >= 1 and r >= 1")
+        num = binomial(n + r - 1, n) * factorial(n + r)
+        den = stirling2(n + r, r) * factorial(r)
+        common = gcd(num, den)
+        ratio = _BOUND_RATIOS[n, r] = (num // common, den // common)
+    return ratio
+
+
 def bound_coefficient(n: int, r: int) -> Fraction:
-    """C(n, r) as an exact rational, by the Stirling closed form, memoised."""
-    if n < 1 or r < 1:
-        raise ValueError("expected n >= 1 and r >= 1")
+    """C(n, r) as an exact rational: bound_ratio() as a Fraction, memoised."""
     value = _BOUND_COEFFICIENTS.get((n, r))
     if value is None:
-        value = binomial(n + r - 1, n) / stirling_factorial_sum(n, r)
-        _BOUND_COEFFICIENTS[n, r] = value
+        from fractions import Fraction
+
+        value = _BOUND_COEFFICIENTS[n, r] = Fraction(*bound_ratio(n, r))
     return value
 
 
@@ -130,6 +154,8 @@ def multinomial_recursion_check(n: int, r: int) -> bool:
     groups terms by how many parts are zero; S(m, 0) is 1 for m = 0 and 0
     otherwise, matching the empty composition.
     """
+    from fractions import Fraction
+
     if n < 0 or r < 1:
         raise ValueError("expected n >= 0 and r >= 1")
     lhs = Fraction(r ** (n + r), factorial(n + r))

@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from fractions import Fraction
+from collections import namedtuple
 from math import factorial
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from . import __version__
 from .bounds import (
@@ -54,22 +54,26 @@ from .invariants import (
     geometric_genus,
 )
 
-Cell = Union[int, Fraction, str]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Cell = Union[int, Fraction, str]
 
 
-class ReportDocument(NamedTuple):
+class ReportDocument(namedtuple(
+    "ReportDocument", ("command", "params", "columns", "rows", "notes"), defaults=((),)
+)):
     """One renderable report: echoed inputs, fixed columns, exact-value rows.
 
     Each reporting command returns one, and main() alone renders it.
-    Cells stay exact and a note quoting a result is a callable, so that
-    both become text inside emit(), past the int-to-str digit limit.
+    `params` maps echoed input names to text, `columns` names the columns,
+    `rows` holds tuples of int, Fraction or str cells, and `notes` holds
+    strings or callables that return one.  Cells stay exact and a note
+    quoting a result is a callable, so that both become text inside emit(),
+    past the int-to-str digit limit.
     """
 
-    command: str
-    params: dict[str, str]
-    columns: tuple[str, ...]
-    rows: list[tuple[Cell, ...]]
-    notes: Sequence[Union[str, Callable[[], str]]] = ()
+    __slots__ = ()
 
     def meta_lines(self) -> list[str]:
         lines = [f"# command: {self.command}", f"# version: {__version__}"]

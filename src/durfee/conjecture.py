@@ -14,18 +14,20 @@ comparison, and reports them deterministically, trace_ratio() reads
 mu / p_g off verify()'s verdicts, and the identity checks pin the exact
 linear relations between mu, p_g and the degree product that the verdicts
 rest on.  No route is named here: the invariants module holds them all.
+
+The verdict constants are integers, so search() never builds a Fraction;
+fractions is imported only where a reported value is built.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from fractions import Fraction
+from collections import deque, namedtuple
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial, gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .bounds import balanced_min_product, bound_coefficient, min_product_bound
+from .bounds import balanced_min_product, bound_coefficient, bound_ratio, min_product_bound
 from .exactmath import falling_factorial
 from .invariants import (
     DegreeSpec,
@@ -36,6 +38,9 @@ from .invariants import (
     milnor_number,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 STRONG_HOLDS = "strong-durfee-holds"
 STRONG_VIOLATED = "strong-durfee-violated"
 CONJECTURE_HOLDS = "new-conjecture-holds"
@@ -45,8 +50,11 @@ IDENTITY_FAILED = "identity-failed"
 
 SEARCH_MODES = ("equal_degrees", "full_grid")
 
-# the fixed coefficients of judge(), built once
-_TWO, _FOUR, _SIX = Fraction(2), Fraction(4), Fraction(6)
+# fractions.Fraction, imported by the first judge() call rather than on
+# every one: search() compares in integers, so a search never loads it
+_Fraction = None
+# judge()'s coefficient Fraction by (n, r), built on first use
+_COEFFICIENTS: dict[tuple[int, int], Fraction] = {}
 
 
 def _order(lhs: int, rhs: int) -> str:
@@ -63,35 +71,26 @@ def _curve_holds(spec: DegreeSpec, mu: int, pg: int) -> bool:
     return mu + spec.degree_product - 1 == 2 * pg
 
 
-class VerdictReport(NamedTuple):
+class VerdictReport(namedtuple("VerdictReport", (
+    "spec", "mu", "pg", "bound_name", "bound_coefficient", "bound_value", "strict",
+    "comparison", "classification", "strong_value", "strong_comparison",
+    "strong_classification", "coefficient_ratio", "coefficient_comparison",
+    "coefficient_value", "chi",
+))):
     """Exact verdict for one degree spec.
 
     The applicable bound for the given dimension drives `classification`;
     the strong coefficient (n+1)! and the limiting coefficient C(n, r) are
     always evaluated alongside it.  Comparisons are exact rational
     comparisons of mu against coefficient * p_g, never floating point.
-    `coefficient_value` is C(n, r) * p_g; `chi` is (-1)^n mu + 1.
+    `coefficient_value` is C(n, r) * p_g; `chi` is (-1)^n mu + 1.  The two
+    coefficients and the three values are Fractions.
     """
 
-    spec: DegreeSpec
-    mu: int
-    pg: int
-    bound_name: str
-    bound_coefficient: Fraction
-    bound_value: Fraction
-    strict: bool
-    comparison: str
-    classification: str
-    strong_value: Fraction
-    strong_comparison: str
-    strong_classification: str
-    coefficient_ratio: Fraction
-    coefficient_comparison: str
-    coefficient_value: Fraction
-    chi: int
+    __slots__ = ()
 
 
-class Violation(NamedTuple):
+class Violation(namedtuple("Violation", ("spec", "mu", "pg", "kinds"))):
     """A spec that violates a bound, with its cross-checked mu and p_g.
 
     `kinds` names the bounds it violates, "strong-durfee" and, for
@@ -99,41 +98,35 @@ class Violation(NamedTuple):
     the spec, built only when it is read.
     """
 
-    spec: DegreeSpec
-    mu: int
-    pg: int
-    kinds: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def verdict(self) -> VerdictReport:
         return judge(self.spec, self.mu, self.pg)
 
 
-class SearchResult(NamedTuple):
+class SearchResult(namedtuple("SearchResult", (
+    "n", "r", "p_min", "p_max", "mode", "scanned", "violations", "minimal",
+))):
     """Deterministic outcome of a grid search.
 
     Violations are ordered lexicographically by (degree sum, degrees);
     `minimal` is the first violation in that order, or None.
     """
 
-    n: int
-    r: int
-    p_min: int
-    p_max: int
-    mode: str
-    scanned: int
-    violations: tuple[Violation, ...]
-    minimal: Optional[Violation]
+    __slots__ = ()
 
 
-class TracePoint(NamedTuple):
-    p: int
-    mu: int
-    pg: int
-    ratio: Optional[Fraction]
-    coefficient: Fraction
-    deviation: Optional[Fraction]
-    included: bool
+class TracePoint(namedtuple("TracePoint", (
+    "p", "mu", "pg", "ratio", "coefficient", "deviation", "included",
+))):
+    """One equal-degree point of a trace: mu / p_g against C(n, r).
+
+    `ratio` and `deviation`, |ratio - coefficient|, are Fractions, or None
+    where p_g = 0 and the point is not `included`.
+    """
+
+    __slots__ = ()
 
 
 def verify(spec: DegreeSpec) -> VerdictReport:
@@ -148,19 +141,18 @@ def verify(spec: DegreeSpec) -> VerdictReport:
 
 def _bound_terms(n: int, r: int) -> tuple:
     """The verdict constants of one (n, r), which judge(), search() and
-    bound_cells() share: the applicable bound's name, coefficient and
-    strictness, C(n, r), (n+1)! and (-1)^n; each Fraction coefficient is
-    followed by its numerator and denominator."""
-    ratio = bound_coefficient(n, r)
+    bound_cells() share, all integers: the applicable bound's name,
+    coefficient (numerator, denominator) and strictness, C(n, r)
+    (numerator, denominator), (n+1)! and (-1)^n."""
+    ratio_num, ratio_den = bound_ratio(n, r)
     if n == 1:
-        name, coeff, strict = "curve-identity", _TWO, False
+        name, coeff_num, coeff_den, strict = "curve-identity", 2, 1, False
     elif n == 2:
-        name, coeff, strict = "new-conjecture", _SIX if r == 1 else _FOUR, r > 1
+        name, coeff_num, coeff_den, strict = "new-conjecture", 6 if r == 1 else 4, 1, r > 1
     else:
-        name, coeff, strict = "new-conjecture", ratio, False
+        name, coeff_num, coeff_den, strict = "new-conjecture", ratio_num, ratio_den, False
     return (
-        name, coeff, coeff.numerator, coeff.denominator, strict,
-        ratio, ratio.numerator, ratio.denominator, factorial(n + 1), (-1) ** n,
+        name, coeff_num, coeff_den, strict, ratio_num, ratio_den, factorial(n + 1), (-1) ** n,
     )
 
 
@@ -179,7 +171,7 @@ def bound_cells(n: int, r: int) -> Callable[[int], tuple[str, str, str]]:
     bound_value and coefficient_value, without building a Fraction.  Call
     it where unlimited_int_str() is in force: the cells may be long.
     """
-    _, _, coeff_num, coeff_den, _, _, ratio_num, ratio_den, strong, _ = _bound_terms(n, r)
+    _, coeff_num, coeff_den, _, ratio_num, ratio_den, strong, _ = _bound_terms(n, r)
 
     def cells(pg: int) -> tuple[str, str, str]:
         return (
@@ -198,10 +190,18 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
     cross-multiplied by the coefficient's denominator; only the reported
     values are Fractions.
     """
-    terms = _bound_terms(spec.n, spec.r)
-    name, coeff, coeff_num, coeff_den, strict, ratio, ratio_num, ratio_den, strong, sign = terms
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+
+    n, r = spec.n, spec.r
+    name, coeff_num, coeff_den, strict, ratio_num, ratio_den, strong, sign = _bound_terms(n, r)
+    ratio = bound_coefficient(n, r)
+    coeff = _COEFFICIENTS.get((n, r))
+    if coeff is None:
+        coeff = _COEFFICIENTS[n, r] = ratio if n > 2 else _Fraction(coeff_num)
     comparison = _order(mu * coeff_den, coeff_num * pg)
-    if spec.n == 1:
+    if n == 1:
         holds = _curve_holds(spec, mu, pg)
         classification = IDENTITY_VERIFIED if holds else IDENTITY_FAILED
     else:
@@ -214,18 +214,18 @@ def judge(spec: DegreeSpec, mu: int, pg: int) -> VerdictReport:
         pg=pg,
         bound_name=name,
         bound_coefficient=coeff,
-        bound_value=Fraction(coeff_num * pg, coeff_den),
+        bound_value=_Fraction(coeff_num * pg, coeff_den),
         strict=strict,
         comparison=comparison,
         classification=classification,
-        strong_value=Fraction(strong * pg),
+        strong_value=_Fraction(strong * pg),
         strong_comparison=strong_comparison,
         strong_classification=(
             STRONG_VIOLATED if strong_comparison == "<" else STRONG_HOLDS
         ),
         coefficient_ratio=ratio,
         coefficient_comparison=_order(mu * ratio_den, ratio_num * pg),
-        coefficient_value=Fraction(ratio_num * pg, ratio_den),
+        coefficient_value=_Fraction(ratio_num * pg, ratio_den),
         chi=sign * mu + 1,
     )
 
@@ -239,6 +239,8 @@ def curve_identity(spec: DegreeSpec) -> bool:
 
 def surface_excess(spec: DegreeSpec) -> Fraction:
     """The exact excess term E in the n = 2 identity; sign varies with degrees."""
+    from fractions import Fraction
+
     if spec.n != 2:
         raise ValueError("surface excess needs n = 2")
     r, degrees = spec.r, spec.degrees
@@ -468,6 +470,8 @@ def trace_ratio(n: int, r: int, p_values: Sequence[int]) -> tuple[TracePoint, ..
     Points with p_g = 0 are reported but excluded from ratios.  Each point
     is verify()'s verdict on its spec, so mu and p_g are cross-checked.
     """
+    from fractions import Fraction
+
     if n < 1 or r < 1:
         raise ValueError("expected n >= 1 and r >= 1")
     points = []

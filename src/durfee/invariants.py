@@ -35,12 +35,12 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb, prod
 from operator import getitem
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
-from .series import TruncatedSeries
 
 SMOOTHNESS_NOTE = (
     "values assume a smooth generic complete intersection of the given degrees"
@@ -51,12 +51,7 @@ class SmoothGermError(ValueError):
     """All degrees equal 1: the cone is a smooth germ, nothing to compute."""
 
 
-class _DegreeSpecFields(NamedTuple):
-    n: int
-    degrees: tuple[int, ...]
-
-
-class DegreeSpec(_DegreeSpecFields):
+class DegreeSpec(namedtuple("_DegreeSpecFields", ("n", "degrees"))):
     """A singularity dimension n together with the hypersurface degrees.
 
     The degrees are stored in normal form: degree-1 entries (hyperplanes)
@@ -259,6 +254,8 @@ def _series_coeff_prefix(n: int, r: int, leading: Sequence[int], binomials):
 
 def _series_coeff_line(state, degrees: Sequence[int]) -> list[int]:
     """[z^(sum(p) - N)] prod_i (1 - z^(p_i)) / (1-z)^(N+1), one series per last degree."""
+    from .series import TruncatedSeries  # only this route needs it, so search never loads it
+
     n, leading = state
     values = []
     for p in degrees:
@@ -324,12 +321,10 @@ def geometric_genus(spec: DegreeSpec, method: str = "compositions") -> int:
     return _folded(GENUS_ROUTES, method, spec, "genus")
 
 
-class InvariantReport(NamedTuple):
+class InvariantReport(namedtuple("InvariantReport", ("spec", "mu", "pg"))):
     """The invariant values for one spec, agreed on by every route."""
 
-    spec: DegreeSpec
-    mu: int
-    pg: int
+    __slots__ = ()
 
 
 def agreed_value(spec: DegreeSpec, methods: Sequence[str], compute: Callable, label: str) -> int:

@@ -4,7 +4,10 @@ A series is a dense coefficient list c[0..order] over Fraction; every
 operation truncates at the shared order.  The one caller is the z-series
 genus route (series_coeff): the coefficient of z^(sum(p) - N) in
 prod_i (1 - z^(p_i)) / (1 - z)^(N+1), which takes products, an inverse
-and a power.  No floating point anywhere.
+and a power.  That route imports this module when it first runs, so
+importing durfee.cli loads neither it nor fractions; of the library
+calls, only invariant_report(), which runs every genus route, loads it.
+No floating point anywhere.
 """
 
 from __future__ import annotations

@@ -4,13 +4,16 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import durfee
-from durfee import DegreeSpec, verify
+from durfee import DegreeSpec, invariant_report, monotone_scan, search, trace_ratio, verify
 from durfee.bounds import bound_coefficient
 from durfee.cli import (
     ReportDocument,
@@ -147,6 +150,69 @@ SAMPLE = ReportDocument(
     rows=[(1, "x/y"), (2, "z")],
     notes=["first note"],
 )
+
+
+# n, r, --n-max and --r-max up to 6, degrees and spans up to 12: every
+# drawn argv either fails at once or is small enough to compute in a moment.
+# Some values are out of range (n = 0, degree 0, a span that starts below 2
+# or runs backwards); _BAD adds malformed ones.
+_ORDERS = st.integers(0, 6).map(str)
+_DEGREES = st.lists(st.integers(0, 12), min_size=1, max_size=5).map(
+    lambda ps: ",".join(map(str, ps))
+)
+_SPANS = st.builds(
+    lambda ends, backwards: "{}..{}".format(*sorted(ends, reverse=backwards)),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    st.sampled_from([False, False, True]),
+)
+_FORMATS = st.sampled_from(["table", "csv", "json-lines"])
+# a value that is malformed, out of range or of the wrong kind; as a --jobs
+# value each is rejected before any worker is started
+_BAD = st.sampled_from(
+    ["", "x", "0", "-1", "+0", "1_0", "\u0663", "3,", ",3", "0,3", "3.0", "..", "9..2", "1..3",
+     "2..", "xml"]
+)
+_JUNK = _BAD | st.sampled_from(["-", "--", "--bogus", "-h", "--n", "--p", "--full-grid", "verify"])
+
+
+def _option_groups(command: str):
+    """The option groups of command, each as (flag, value strategy); a value None is a switch."""
+    fmt = [("--format", _FORMATS)]
+    if command in ("invariants", "verify"):
+        return [("--n", _ORDERS), ("--degrees", _DEGREES), *fmt]
+    if command == "bounds":
+        return [("--n-max", _ORDERS), ("--r-max", _ORDERS), *fmt]
+    p = _SPANS if command == "search" else _SPANS | _DEGREES
+    groups = [("--n", _ORDERS), ("--r", _ORDERS), ("--p", p), *fmt]
+    if command == "search":
+        groups += [("--full-grid", None), ("--jobs", st.just("1"))]
+    return groups
+
+
+@st.composite
+def fuzzed_argvs(draw):
+    """A valid argv, its option groups in any order, with up to two faults:
+    a group left out, a group's value replaced by a bad one, a junk token anywhere."""
+    command = draw(st.sampled_from(["invariants", "verify", "bounds", "search", "trace"]))
+    groups = [
+        [flag] if values is None else [flag, draw(values)]
+        for flag, values in draw(st.permutations(_option_groups(command)))
+    ]
+    junk = []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        fault = draw(st.sampled_from(["drop", "bad", "junk"]))
+        if fault == "junk":
+            junk.append(draw(_JUNK))
+            continue
+        i = draw(st.integers(0, len(groups) - 1))
+        if fault == "drop":
+            del groups[i]
+        else:  # a switch takes the bad value as a stray argument
+            groups[i] = [groups[i][0], draw(_BAD)]
+    argv = [command] + [token for group in groups for token in group]
+    for token in junk:
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
 
 
 class TestRendering:
@@ -710,6 +776,20 @@ class TestExitCodes:
         assert escaped == []
         assert broken == []
 
+    @settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=300, database=None)
+    @given(argv=fuzzed_argvs())
+    def test_fuzzed_argv_keeps_the_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        except (SystemExit, Exception) as exc:  # main returns every code itself
+            raise AssertionError(f"{exc!r} escaped main on {argv}") from exc
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert self._is_one_error(err.getvalue()), (argv, err.getvalue())
+
     @staticmethod
     def _is_one_error(err: str) -> bool:
         """main's own failure, one error line; or argparse's usage, then one
@@ -754,14 +834,20 @@ class TestSelftestCommand:
 
 class TestImportCost:
     @staticmethod
-    def loaded_after_cli_import(names):
+    def loaded_after_cli_import(names, *argv):
+        """Which of names a fresh interpreter holds after importing durfee.cli
+        and, if argv is given, running main(argv) with its output discarded."""
         src = str(Path(durfee.__file__).resolve().parents[1])
         code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import durfee.cli; "
+            "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import durfee.cli\n"
+            "if sys.argv[2:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert durfee.cli.main(sys.argv[2:]) == 0\n"
             f"print(sorted({set(names)!r} & set(sys.modules)))"
         )
         done = subprocess.run(
-            [sys.executable, "-I", "-c", code, src],
+            [sys.executable, "-I", "-c", code, src, *argv],
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
@@ -779,6 +865,70 @@ class TestImportCost:
     def test_cli_import_generates_no_record_code(self):
         # the records are named tuples: no dataclasses, and so no inspect
         assert self.loaded_after_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
+    def test_cli_import_loads_no_fractions_or_series(self):
+        # the verdict constants are integers; Fractions and the z-series
+        # are imported where they are built
+        names = {"fractions", "decimal", "numbers", "durfee.series"}
+        assert self.loaded_after_cli_import(names) == "[]\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    def test_search_loads_no_fractions(self, fmt):
+        # search compares and writes its cells in integers, violations included
+        argv = ["search", "--n", "3", "--r", "4", "--p", "5..12", "--full-grid",
+                "--jobs", "1", "--format", fmt]
+        assert self.loaded_after_cli_import({"fractions"}, *argv) == "[]\n"
+
+    def test_only_a_run_of_the_z_series_route_loads_the_series(self):
+        # invariant_report runs every genus route, the z-series one too
+        argv = ["invariants", "--n", "3", "--degrees", "5,6"]
+        names = {"durfee.series"}
+        assert self.loaded_after_cli_import(names) == "[]\n"
+        assert self.loaded_after_cli_import(names, *argv) == "['durfee.series']\n"
+
+
+# every named-tuple record of the package: a built instance, and its fields in order
+RECORDS = {
+    "ReportDocument": (lambda: ReportDocument("c", {}, (), []),
+                       ("command", "params", "columns", "rows", "notes")),
+    "VerdictReport": (lambda: verify(DegreeSpec(2, (3, 4))), (
+        "spec", "mu", "pg", "bound_name", "bound_coefficient", "bound_value", "strict",
+        "comparison", "classification", "strong_value", "strong_comparison",
+        "strong_classification", "coefficient_ratio", "coefficient_comparison",
+        "coefficient_value", "chi",
+    )),
+    "Violation": (lambda: search(2, 2, 2, 8).minimal, ("spec", "mu", "pg", "kinds")),
+    "SearchResult": (lambda: search(2, 2, 2, 8), (
+        "n", "r", "p_min", "p_max", "mode", "scanned", "violations", "minimal",
+    )),
+    "TracePoint": (lambda: trace_ratio(2, 2, [3])[0], (
+        "p", "mu", "pg", "ratio", "coefficient", "deviation", "included",
+    )),
+    "InvariantReport": (lambda: invariant_report(DegreeSpec(2, (3, 4))), ("spec", "mu", "pg")),
+    "DegreeSpec": (lambda: DegreeSpec(2, (3, 4)), ("n", "degrees")),
+    "BoundCoefficient": (lambda: monotone_scan(2, 1)[0], ("n", "r", "value")),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_slotted_immutable_and_in_field_order(self, name):
+        build, fields = RECORDS[name]
+        record = build()
+        assert type(record).__name__ == name
+        assert record._fields == fields
+        # a class between the record and tuple without __slots__ = () would
+        # give every instance a dict
+        assert not hasattr(record, "__dict__")
+        for cls in type(record).__mro__[: type(record).__mro__.index(tuple)]:
+            assert vars(cls).get("__slots__") == (), cls
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_report_notes_default_to_empty(self):
+        assert ReportDocument("c", {}, (), []).notes == ()
 
 
 class TestPackageSurface:
