@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import factorial, gcd, prod
-from typing import TYPE_CHECKING
 
 from .exactmath import (
     CrossCheckError,
@@ -43,6 +42,7 @@ from .exactmath import (
     stirling2,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 

@@ -14,8 +14,8 @@ import argparse
 import io
 import sys
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from . import __version__
 from .bounds import (
@@ -54,10 +54,11 @@ from .invariants import (
     geometric_genus,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    Cell = Union[int, Fraction, str]
+    Cell = int | Fraction | str
 
 
 class ReportDocument(namedtuple(
@@ -84,7 +85,7 @@ class ReportDocument(namedtuple(
         return [f"# note: {note() if callable(note) else note}" for note in self.notes]
 
 
-def _approx(x: Union[int, Fraction]) -> str:  # x >= 0, rounded half to even
+def _approx(x: int | Fraction) -> str:  # x >= 0, rounded half to even
     whole, frac = divmod(round(x * 10**6), 10**6)
     with unlimited_int_str():
         return f"{whole}.{frac:06d}"

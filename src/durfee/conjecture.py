@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import os
 from collections import deque, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial, gcd
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .bounds import balanced_min_product, bound_coefficient, bound_ratio, min_product_bound
 from .exactmath import falling_factorial
@@ -33,11 +33,11 @@ from .invariants import (
     DegreeSpec,
     agreed_invariants,
     agreed_line,
-    binomial_table,
     geometric_genus,
     milnor_number,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -345,12 +345,11 @@ def _line_violations(n: int, r: int, lines: Iterable[tuple]) -> list[Violation]:
     (_batches() cuts them).  A spec's kinds come from two integer
     comparisons, mu < (n+1)! p_g and, for surfaces, mu < C(2, r) p_g.
     """
-    binomials = binomial_table(n + r)
     surface = n == 2
     strong = None
     violations = []
     for leading, last_degrees in lines:
-        mus, pgs = agreed_line(n, r, binomials, leading, last_degrees)
+        mus, pgs = agreed_line(n, r, leading, last_degrees)
         if strong is None:
             # only after the first folds: they fail at once on an n or r too
             # large to compute, where C(n, r) would run for as long as r

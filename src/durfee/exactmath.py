@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from operator import mul
-from typing import Iterable, Iterator, Sequence
 
 Composition = tuple[int, ...]
 
@@ -50,18 +50,11 @@ def unlimited_int_str() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def binomial(m: int, k: int) -> int:
-    """C(m, k), with C(m, k) = 0 whenever k > m >= 0."""
-    if m < 0 or k < 0:
-        raise ValueError("binomial expects non-negative arguments")
-    return math.comb(m, k)
-
-
-def falling_factorial(p: int, k: int) -> int:
-    """p (p-1) ... (p-k+1), which is 0 as soon as k exceeds p."""
-    if p < 0 or k < 0:
-        raise ValueError("falling_factorial expects non-negative arguments")
-    return math.perm(p, k)
+# C(m, k), 0 whenever k > m >= 0, and p (p-1) ... (p-k+1), 0 as soon as k
+# exceeds p: math.comb and math.perm themselves, which raise ValueError on a
+# negative argument, so no Python frame stands between a caller and the C call
+binomial = math.comb
+falling_factorial = math.perm
 
 
 def stirling2(m: int, r: int) -> int:
@@ -69,8 +62,9 @@ def stirling2(m: int, r: int) -> int:
 
     Computed as sum_j (-1)^j C(r, j) (r - j)^m divided by r!, with the
     divisibility asserted on every call so the defining formula is itself
-    under permanent test.  The triangle recurrence stays out of the library
-    on purpose; it is the independent oracle in the test suite.
+    under permanent test.  The triangle recurrence is not a library route:
+    it is the independent oracle in the test suite, and selftest holds its
+    own copy to check this one against.
     """
     if m < 0 or r < 0:
         raise ValueError("stirling2 expects non-negative arguments")

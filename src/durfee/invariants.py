@@ -18,14 +18,11 @@ Each route is implemented independently so any one can certify another,
 and is named once, as a route -> (prefix, line) entry of MILNOR_ROUTES or
 GENUS_ROUTES that every caller reads: the prefix step folds all degrees but
 the last, and the line step returns the value for each of a list of last
-degrees.  A spec's value is line(prefix(n, r, degrees[:-1], None),
+degrees.  A spec's value is line(prefix(n, r, degrees[:-1]),
 degrees[-1:])[0], and a search folds one prefix for a whole line of specs.
 agreed_invariants() and agreed_line() run the routes on a spec or on a line
 and return the values they agree on, or raise CrossCheckError naming every
-route's value.  The binomials C(m, N) that inclusion-exclusion sums come
-from a binomial_table() in a search, which fills one lazily, once per walk,
-and drops it with the walk; a spec on its own takes them from binomial()
-straight.
+route's value.
 
 A degree equal to 1 is a hyperplane and does not change the germ, only the
 ambient dimension, and every formula here is symmetric in the degrees; so
@@ -36,9 +33,9 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from math import comb, prod
 from operator import getitem
-from typing import Callable, Sequence
 
 from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
 
@@ -98,42 +95,12 @@ class DegreeSpec(namedtuple("_DegreeSpecFields", ("n", "degrees"))):
         return prod(self.degrees)
 
 
-# the most binomials a table holds; a full table is emptied, so a search's
-# memory does not grow with the width of its grid
-_TABLE_ENTRIES = 1024
+# The routes: prefix(n, r, leading) -> state, and line(state, degrees) -> one
+# value per last degree.  No line step mutates its state, so one prefix
+# serves every spec of a line.
 
 
-class _Binomials(dict):
-    """m -> C(m, k), taken through binomial() the first time m is read."""
-
-    __slots__ = ("k",)
-
-    def __missing__(self, m: int) -> int:
-        if len(self) >= _TABLE_ENTRIES:
-            self.clear()
-        value = self[m] = binomial(m, self.k)
-        return value
-
-
-def binomial_table(k: int) -> dict[int, int]:
-    """An empty table of C(m, k), filled lazily as m is read and bounded in size.
-
-    A search builds one per walk (one per pool task) and drops it with the
-    walk; a spec on its own builds none.
-    """
-    table = _Binomials()
-    table.k = k
-    return table
-
-
-# The routes: prefix(n, r, leading, binomials) -> state, and
-# line(state, degrees) -> one value per last degree.  binomials is the
-# binomial_table(n + r) that inclusion-exclusion reads and the other routes
-# ignore, or None for a spec on its own.  No line step mutates its state, so
-# one prefix serves every spec of a line.
-
-
-def _closed_sum_prefix(n: int, r: int, leading: Sequence[int], binomials):
+def _closed_sum_prefix(n: int, r: int, leading: Sequence[int]):
     """h_k(p - 1) for k <= n, [x^k] prod_i 1 / (1 - (p_i - 1) x), and prod p_i.
 
     Each factor multiplies in place on integers, so the fold is O(r n).
@@ -160,7 +127,7 @@ def _closed_sum_line(state, degrees: Sequence[int]) -> list[int]:
     return values
 
 
-def _series_prefix(n: int, r: int, leading: Sequence[int], binomials):
+def _series_prefix(n: int, r: int, leading: Sequence[int]):
     """[x^k] (1+x)^N / prod_i (1 + p_i x) for k <= n, and prod p_i.
 
     Each division by 1 + p x runs in place on integers; it is exact because
@@ -188,7 +155,7 @@ def _series_line(state, degrees: Sequence[int]) -> list[int]:
     return values
 
 
-def _compositions_prefix(n: int, r: int, leading: Sequence[int], binomials):
+def _compositions_prefix(n: int, r: int, leading: Sequence[int]):
     """Sum of prod_(i<r) C(p_i, k_i+1) over the compositions k of n, by last part k_r.
 
     A walk over the compositions on purpose: the kernel form of this sum is
@@ -207,8 +174,8 @@ def _compositions_line(by_last: list[int], degrees: Sequence[int]) -> list[int]:
     return [sum(s * comb(p, k) for k, s in enumerate(by_last, 1) if s) for p in degrees]
 
 
-def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int], binomials):
-    """N, the leading degrees' sum and signed subset-sum counts, and binomials.
+def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int]):
+    """N, the leading degrees' sum and signed subset-sum counts.
 
     The genus is a signed count of monomials of degree sum(p) - N in N
     variables, with exponents capped by inclusion-exclusion over the
@@ -221,15 +188,15 @@ def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int], binomial
         for subset_sum, count in counts.items():
             grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
         counts = grown
-    return n + r, sum(leading), counts, binomials
+    return n + r, sum(leading), counts
 
 
 def _inclusion_exclusion_line(state, degrees: Sequence[int]) -> list[int]:
     # with the last degree p a sum s counts counts[s] - counts[s - p], and a
-    # sum s + p not in the table counts -counts[s]; sums whose subsets
-    # cancel cost no binomial.  Without a table (a spec on its own) each
-    # C(m, N) is taken from binomial() straight.
-    N, total, counts, binomials = state
+    # sum s + p not in counts counts -counts[s]; sums whose subsets cancel
+    # cost no binomial.  Each C(m, N) goes through the module's binomial,
+    # not comb, so the binomials taken can be counted at that one binding.
+    N, total, counts = state
     shifted = counts.get
     values = []
     for p in degrees:
@@ -238,16 +205,14 @@ def _inclusion_exclusion_line(state, degrees: Sequence[int]) -> list[int]:
         for subset_sum, count in counts.items():
             merged = count - shifted(subset_sum - p, 0)
             if merged:
-                m = top - subset_sum
-                value += merged * (binomial(m, N) if binomials is None else binomials[m])
+                value += merged * binomial(top - subset_sum, N)
             if count and subset_sum + p not in counts:
-                m = top - subset_sum - p
-                value -= count * (binomial(m, N) if binomials is None else binomials[m])
+                value -= count * binomial(total - subset_sum, N)
         values.append(value)
     return values
 
 
-def _series_coeff_prefix(n: int, r: int, leading: Sequence[int], binomials):
+def _series_coeff_prefix(n: int, r: int, leading: Sequence[int]):
     """n and the leading degrees: the z-series is dense, so each spec builds its own."""
     return n, tuple(leading)
 
@@ -303,7 +268,7 @@ def _folded(routes, method: str, spec: DegreeSpec, label: str) -> int:
         choices = tuple(routes)
         raise ValueError(f"unknown {label} method {method!r}; choose from {choices}") from None
     n, degrees = spec
-    return line(prefix(n, len(degrees), degrees[:-1], None), degrees[-1:])[0]
+    return line(prefix(n, len(degrees), degrees[:-1]), degrees[-1:])[0]
 
 
 def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
@@ -345,9 +310,9 @@ def agreed_invariants(spec: DegreeSpec, genus_methods=VERIFY_PG_METHODS) -> tupl
     return mu, agreed_value(spec, genus_methods, geometric_genus, "genus")
 
 
-def agreed_line(n: int, r: int, binomials, leading: tuple[int, ...], last_degrees) -> list:
+def agreed_line(n: int, r: int, leading: tuple[int, ...], last_degrees) -> list:
     """[mu values, p_g values] of the specs leading + (p,), p in last_degrees,
-    on the routes agreed_invariants() takes, with the walk's binomial table.
+    on the routes agreed_invariants() takes.
 
     Each route's values are compared as whole lists; at the first spec where
     they differ, this raises as agreed_value() does.
@@ -359,7 +324,7 @@ def agreed_line(n: int, r: int, binomials, leading: tuple[int, ...], last_degree
         values = []
         for method in methods:
             prefix, line = routes[method]
-            values.append(line(prefix(n, r, leading, binomials), last_degrees))
+            values.append(line(prefix(n, r, leading), last_degrees))
         if values.count(values[0]) != len(values):
             for p, column in zip(last_degrees, zip(*values)):
                 if column.count(column[0]) != len(column):

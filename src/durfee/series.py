@@ -12,8 +12,8 @@ No floating point anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 
 class TruncatedSeries:
@@ -21,7 +21,7 @@ class TruncatedSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[Union[int, Fraction]], order: int):
+    def __init__(self, coeffs: Iterable[int | Fraction], order: int):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         cs = [Fraction(c) for c in coeffs][: order + 1]

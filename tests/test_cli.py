@@ -834,9 +834,10 @@ class TestSelftestCommand:
 
 class TestImportCost:
     @staticmethod
-    def loaded_after_cli_import(names, *argv):
-        """Which of names a fresh interpreter holds after importing durfee.cli
-        and, if argv is given, running main(argv) with its output discarded."""
+    def loaded_after_cli_import(names, *argv, flags=("-I",)):
+        """Which of names a fresh interpreter, started with flags, holds after
+        importing durfee.cli and, if argv is given, running main(argv) with
+        its output discarded."""
         src = str(Path(durfee.__file__).resolve().parents[1])
         code = (
             "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import durfee.cli\n"
@@ -847,7 +848,7 @@ class TestImportCost:
             f"print(sorted({set(names)!r} & set(sys.modules)))"
         )
         done = subprocess.run(
-            [sys.executable, "-I", "-c", code, src, *argv],
+            [sys.executable, *flags, "-c", code, src, *argv],
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
@@ -871,6 +872,11 @@ class TestImportCost:
         # are imported where they are built
         names = {"fractions", "decimal", "numbers", "durfee.series"}
         assert self.loaded_after_cli_import(names) == "[]\n"
+
+    def test_cli_import_loads_no_typing(self):
+        # annotations are strings and the abstract types come from
+        # collections.abc; -S keeps out site, which may import typing itself
+        assert self.loaded_after_cli_import({"typing"}, flags=("-I", "-S")) == "[]\n"
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
     def test_search_loads_no_fractions(self, fmt):

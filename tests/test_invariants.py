@@ -21,7 +21,7 @@ from durfee import (
     milnor_number,
 )
 from durfee.conjecture import judge
-from durfee.invariants import GENUS_ROUTES, MILNOR_ROUTES, VERIFY_PG_METHODS, binomial_table
+from durfee.invariants import GENUS_ROUTES, MILNOR_ROUTES, VERIFY_PG_METHODS
 
 from _oracles import (
     equal_degree_genus,
@@ -524,11 +524,9 @@ class TestSplitRoutes:
             oracle = self.ORACLES[route]
             if oracle not in expected:
                 expected[oracle] = [oracle(n, leading + (p,)) for p in last_degrees]
-            state = prefix(n, r, leading, binomial_table(n + r))
+            state = prefix(n, r, leading)
             assert line(state, last_degrees) == expected[oracle], route
             assert [line(state, (p,))[0] for p in last_degrees] == expected[oracle], route
-            # without a table, as a spec on its own folds
-            assert line(prefix(n, r, leading, None), last_degrees) == expected[oracle], route
         for p in last_degrees:
             spec = DegreeSpec(n, leading + (p,))
             assert milnor_fiber_euler(spec) == euler_brute(n, spec.degrees)
@@ -537,10 +535,12 @@ class TestSplitRoutes:
 class TestRouteRegistry:
     ROUTE_NAMES = {"closed_sum", "series", "compositions", "inclusion_exclusion", "series_coeff"}
     # what the registries replaced: a step table per invariant and a
-    # wrapper per route
+    # wrapper per route; and the search's binomial table, gone with the
+    # wrapper around math.comb it spared calls to
     DELETED = (
         "MILNOR_STEPS", "GENUS_STEPS", "_milnor_closed_sum", "_milnor_series",
         "_genus_compositions", "_genus_inclusion_exclusion", "_genus_series",
+        "binomial_table", "_Binomials", "_TABLE_ENTRIES",
     )
     SOURCES = sorted(Path(durfee.__file__).parent.glob("*.py"))
 
