@@ -102,8 +102,9 @@ def _degrees_cell(degrees: Sequence[int]) -> str:
 def render_table(doc: ReportDocument) -> str:
     body = [list(map(str, row)) for row in doc.rows]
     widths = [max(map(len, column)) for column in zip(doc.columns, *body)]
+    template = "  ".join("%%-%ds" % w for w in widths)
     out = doc.meta_lines()
-    out += ["  ".join(map(str.ljust, line, widths)).rstrip() for line in [doc.columns, *body]]
+    out += [(template % tuple(line)).rstrip() for line in [doc.columns, *body]]
     out += doc.note_lines()
     return "\n".join(out) + "\n"
 

@@ -7,13 +7,17 @@ asymptotically sharp coefficient drops from 6 to below 36/7.  judge()
 compares agreed values of mu and p_g with both bounds in integers only and
 returns every per-spec value a report prints, verify() judges the mu and
 p_g that invariants.agreed_invariants() cross-checks, search() walks a
-degree grid by lines (the specs that share all degrees but the last),
-cross-checks each line with invariants.agreed_line(), keeps a lean
-Violation (spec, mu, p_g, kinds) for each spec that fails an integer
-comparison, and reports them deterministically, trace_ratio() reads
-mu / p_g off verify()'s verdicts, and the identity checks pin the exact
-linear relations between mu, p_g and the degree product that the verdicts
-rest on.  No route is named here: the invariants module holds them all.
+degree grid by lines (the specs that share all degrees but the last) and
+cross-checks them with invariants.agreed_lines(), which steps each shared
+prefix of leading degrees once per route, keeps a lean Violation (spec,
+mu, p_g, kinds) for each spec that fails an integer comparison, and
+reports them deterministically, trace_ratio() reads mu / p_g off
+verify()'s verdicts, and the identity checks pin the exact linear
+relations between mu, p_g and the degree product that the verdicts rest
+on.  No route is named here: the invariants module holds them all.  (The
+compositions route's step multiplies one binomial into each composition's
+product rather than convolving: the convolution is the benchmark
+reference's own genus route, which must stay independent of the library.)
 
 The verdict constants are integers, so search() never builds a Fraction;
 fractions is imported only where a reported value is built.
@@ -32,7 +36,7 @@ from .exactmath import falling_factorial
 from .invariants import (
     DegreeSpec,
     agreed_invariants,
-    agreed_line,
+    agreed_lines,
     geometric_genus,
     milnor_number,
 )
@@ -340,18 +344,18 @@ _COEFFICIENT = ("coefficient-bound",)
 def _line_violations(n: int, r: int, lines: Iterable[tuple]) -> list[Violation]:
     """The violations on the given lines, in grid order.
 
-    agreed_line() folds a line's leading degrees once per route and returns
-    the whole line's values in one step, so the lines should be short
-    (_batches() cuts them).  A spec's kinds come from two integer
+    agreed_lines() steps each route over the leading degrees a line does
+    not share with the line before and returns the whole line's values in
+    one step, so the lines should be short (_batches() cuts them).  A
+    spec's kinds come from two integer
     comparisons, mu < (n+1)! p_g and, for surfaces, mu < C(2, r) p_g.
     """
     surface = n == 2
     strong = None
     violations = []
-    for leading, last_degrees in lines:
-        mus, pgs = agreed_line(n, r, leading, last_degrees)
+    for leading, last_degrees, mus, pgs in agreed_lines(n, r, lines):
         if strong is None:
-            # only after the first folds: they fail at once on an n or r too
+            # only after the first steps: they fail at once on an n or r too
             # large to compute, where C(n, r) would run for as long as r
             *_, ratio_num, ratio_den, strong, _ = _bound_terms(n, r)
         for p, mu, pg in zip(last_degrees, mus, pgs):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from operator import mul
 
 Composition = tuple[int, ...]
@@ -32,22 +31,25 @@ class CrossCheckError(RuntimeError):
     """
 
 
-@contextmanager
-def unlimited_int_str() -> Iterator[None]:
+class unlimited_int_str:
     """Lift the interpreter's int-to-str digit limit inside the block only.
 
     Exact results may have any number of digits, so the text of a report or
     of a CrossCheckError is built under this; input parsing keeps the limit.
+    A plain class rather than a contextlib generator, so importing the
+    library does not load contextlib and a block costs no generator.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
+
+    __slots__ = ("_limit",)
+
+    def __enter__(self) -> None:
+        if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+            self._limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc) -> None:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(self._limit)
 
 
 # C(m, k), 0 whenever k > m >= 0, and p (p-1) ... (p-k+1), 0 as soon as k
@@ -80,10 +82,12 @@ def stirling2(m: int, r: int) -> int:
 def compositions(n: int, r: int) -> Iterator[Composition]:
     """Yield all weak compositions of n into r ordered parts, lexicographically.
 
-    There are C(n+r-1, n) of them.  Lazy because the verifier walks many
-    composition sets and almost never needs one materialized.  The walk is
-    iterative: the next composition moves one unit from the last non-zero
-    part to the part before it and the rest of that part to the last part.
+    There are C(n+r-1, n) of them.  Lazy, so a caller keeps only what it
+    needs of each: the compositions genus route copies the parts into one
+    flat list as they come, and no walked tuple outlives its walk.  The
+    walk is iterative: the next composition moves one unit from the last
+    non-zero part to the part before it and the rest of that part to the
+    last part.
     r = 0 is allowed: the empty composition exists exactly when n = 0.
     """
     if n < 0 or r < 0:

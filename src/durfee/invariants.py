@@ -6,7 +6,7 @@ and n is the dimension of the singularity.  Both invariants admit several
 genuinely different exact computations:
 
   * the Milnor number from an alternating sum of the complete symmetric
-    sums h_k(p - 1), built in place in one O(r n) pass over
+    sums h_k(p - 1), built by one O(n) step per degree of
     prod_i 1 / (1 - (p_i - 1) x), or from the x^n coefficient of the
     rational function (1+x)^N / prod_i (1 + p_i x), which carries the Euler
     characteristic of the Milnor fiber;
@@ -15,14 +15,18 @@ genuinely different exact computations:
     from a z-series coefficient of prod_i (1 - z^(p_i)) / (1-z)^(N+1).
 
 Each route is implemented independently so any one can certify another,
-and is named once, as a route -> (prefix, line) entry of MILNOR_ROUTES or
-GENUS_ROUTES that every caller reads: the prefix step folds all degrees but
-the last, and the line step returns the value for each of a list of last
-degrees.  A spec's value is line(prefix(n, r, degrees[:-1]),
-degrees[-1:])[0], and a search folds one prefix for a whole line of specs.
-agreed_invariants() and agreed_line() run the routes on a spec or on a line
-and return the values they agree on, or raise CrossCheckError naming every
-route's value.
+and is named once, as a route -> (start, step, line) entry of MILNOR_ROUTES
+or GENUS_ROUTES that every caller reads: start(n, r) is the state of no
+leading degrees, step(state, p) a new state with one more, and line(state,
+last_degrees) the value for each of a list of last degrees.  A spec's value
+is start, a step per degree but the last, and the line on the last.
+agreed_invariants() runs the routes on a spec, and agreed_lines() walks
+the lines of a search in grid order, stepping each shared prefix of
+leading degrees once; both return the values the routes agree on, or raise
+CrossCheckError naming every route's value.  The compositions route steps
+elementwise, one binomial factor into each composition's running product,
+and never convolves the parts away: that O(r n^2) kernel is the genus route
+of the benchmark's independent reference, which it must stay apart from.
 
 A degree equal to 1 is a hyperplane and does not change the germ, only the
 ambient dimension, and every formula here is symmetric in the degrees; so
@@ -33,9 +37,9 @@ whose degrees are all 1 is a smooth germ and cannot be built.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from math import comb, prod
-from operator import getitem
+from operator import mul
 
 from .exactmath import CrossCheckError, binomial, compositions, unlimited_int_str
 
@@ -95,21 +99,26 @@ class DegreeSpec(namedtuple("_DegreeSpecFields", ("n", "degrees"))):
         return prod(self.degrees)
 
 
-# The routes: prefix(n, r, leading) -> state, and line(state, degrees) -> one
-# value per last degree.  No line step mutates its state, so one prefix
-# serves every spec of a line.
+# The routes: start(n, r) -> the state of no leading degrees, step(state, p)
+# -> the state with one more leading degree p, and line(state, degrees) ->
+# one value per last degree.  No step or line mutates its state, so a state
+# serves every prefix that extends it and every line that finishes it.
 
 
-def _closed_sum_prefix(n: int, r: int, leading: Sequence[int]):
-    """h_k(p - 1) for k <= n, [x^k] prod_i 1 / (1 - (p_i - 1) x), and prod p_i.
+def _closed_sum_start(n: int, r: int):
+    """h_k(p - 1) for k <= n, [x^k] prod_i 1 / (1 - (p_i - 1) x), and prod p_i, of no degrees."""
+    return [1] + [0] * n, 1
 
-    Each factor multiplies in place on integers, so the fold is O(r n).
-    """
-    h = [1] + [0] * n
-    for p in leading:
-        for k in range(1, n + 1):
-            h[k] += (p - 1) * h[k - 1]
-    return h, prod(leading)
+
+def _closed_sum_step(state, p: int):
+    """One more factor 1 / (1 - (p - 1) x), multiplied in on integers: O(n)."""
+    h, product = state
+    hk = 1
+    folded = [hk]
+    for c in h[1:]:
+        hk = c + (p - 1) * hk
+        folded.append(hk)
+    return folded, product * p
 
 
 def _closed_sum_line(state, degrees: Sequence[int]) -> list[int]:
@@ -127,17 +136,20 @@ def _closed_sum_line(state, degrees: Sequence[int]) -> list[int]:
     return values
 
 
-def _series_prefix(n: int, r: int, leading: Sequence[int]):
-    """[x^k] (1+x)^N / prod_i (1 + p_i x) for k <= n, and prod p_i.
+def _series_start(n: int, r: int):
+    """[x^k] (1+x)^N for k <= n, and the empty degree product."""
+    return [comb(n + r, k) for k in range(n + 1)], 1
 
-    Each division by 1 + p x runs in place on integers; it is exact because
-    the constant term is 1.
-    """
-    c = [comb(n + r, k) for k in range(n + 1)]
-    for p in leading:
-        for k in range(1, n + 1):
-            c[k] -= p * c[k - 1]
-    return c, prod(leading)
+
+def _series_step(state, p: int):
+    """One more division by 1 + p x, on integers: exact because the constant term is 1."""
+    c, product = state
+    top = c[0]
+    divided = [top]
+    for ck in c[1:]:
+        top = ck - p * top
+        divided.append(top)
+    return divided, product * p
 
 
 def _series_line(state, degrees: Sequence[int]) -> list[int]:
@@ -155,40 +167,63 @@ def _series_line(state, degrees: Sequence[int]) -> list[int]:
     return values
 
 
-def _compositions_prefix(n: int, r: int, leading: Sequence[int]):
-    """Sum of prod_(i<r) C(p_i, k_i+1) over the compositions k of n, by last part k_r.
+def _compositions_start(n: int, r: int):
+    """The compositions k of n into r parts, held as one column of parts per
+    position, and a running product of 1 for each composition.
 
     A walk over the compositions on purpose: the kernel form of this sum is
-    the genus route of the benchmark's independent reference.
+    the genus route of the benchmark's independent reference.  The parts go
+    into one flat list as the walk yields them, so no walked tuple outlives
+    the walk, and the list is cut into the columns.
     """
-    by_last = [0] * (n + 1)
-    tables = [[comb(p, k + 1) for k in range(n + 1)] for p in leading]
+    parts = []
     for comp in compositions(n, r):
-        # map stops at the shorter: the tables leave out the last part
-        by_last[comp[-1]] += prod(map(getitem, tables, comp))
-    return by_last
+        parts.extend(comp)
+    columns = [parts[d::r] for d in range(r)]
+    return n, columns, 0, [1] * len(columns[0])
 
 
-def _compositions_line(by_last: list[int], degrees: Sequence[int]) -> list[int]:
+def _compositions_step(state, p: int):
+    """Each composition's product times C(p, k + 1), k its part at the next position.
+
+    Elementwise over the compositions, not the O(n^2) kernel convolution
+    that would sum them away: that convolution is the reference's route.
+    """
+    n, columns, depth, products = state
+    row = [comb(p, k) for k in range(1, n + 2)]
+    products = list(map(mul, products, map(row.__getitem__, columns[depth])))
+    return n, columns, depth + 1, products
+
+
+def _compositions_line(state, degrees: Sequence[int]) -> list[int]:
+    """Sum of prod_i C(p_i, k_i + 1) over the compositions k of n: the
+    products summed by last part, then one binomial of p for each part."""
+    n, columns, _, products = state
+    by_last = [0] * (n + 1)
+    for k, product in zip(columns[-1], products):
+        by_last[k] += product
     # a binomial only for a last part with a nonzero sum: one for hypersurfaces
     return [sum(s * comb(p, k) for k, s in enumerate(by_last, 1) if s) for p in degrees]
 
 
-def _inclusion_exclusion_prefix(n: int, r: int, leading: Sequence[int]):
-    """N, the leading degrees' sum and signed subset-sum counts.
+def _inclusion_exclusion_start(n: int, r: int):
+    """N, the leading degrees' sum and signed subset-sum counts, of no degrees.
 
     The genus is a signed count of monomials of degree sum(p) - N in N
     variables, with exponents capped by inclusion-exclusion over the
     degrees; a subset's term depends only on its sum and the sign of its
     size, so subsets are counted by sum with the sign carried in the count.
     """
-    counts = {0: 1}
-    for p in leading:
-        grown = dict(counts)
-        for subset_sum, count in counts.items():
-            grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
-        counts = grown
-    return n + r, sum(leading), counts
+    return n + r, 0, {0: 1}
+
+
+def _inclusion_exclusion_step(state, p: int):
+    """One more degree merged into the counts: a sum s with p is s + p, of the other sign."""
+    N, total, counts = state
+    grown = dict(counts)
+    for subset_sum, count in counts.items():
+        grown[subset_sum + p] = grown.get(subset_sum + p, 0) - count
+    return N, total + p, grown
 
 
 def _inclusion_exclusion_line(state, degrees: Sequence[int]) -> list[int]:
@@ -212,9 +247,14 @@ def _inclusion_exclusion_line(state, degrees: Sequence[int]) -> list[int]:
     return values
 
 
-def _series_coeff_prefix(n: int, r: int, leading: Sequence[int]):
+def _series_coeff_start(n: int, r: int):
     """n and the leading degrees: the z-series is dense, so each spec builds its own."""
-    return n, tuple(leading)
+    return n, ()
+
+
+def _series_coeff_step(state, p: int):
+    n, leading = state
+    return n, leading + (p,)
 
 
 def _series_coeff_line(state, degrees: Sequence[int]) -> list[int]:
@@ -242,16 +282,18 @@ def _series_coeff_line(state, degrees: Sequence[int]) -> list[int]:
     return values
 
 
-# route -> (prefix, line), the one place each route is named; the order is
-# the order the routes run in and are reported in
+# route -> (start, step, line), the one place each route is named; the order
+# is the order the routes run in and are reported in
 MILNOR_ROUTES = {
-    "closed_sum": (_closed_sum_prefix, _closed_sum_line),
-    "series": (_series_prefix, _series_line),
+    "closed_sum": (_closed_sum_start, _closed_sum_step, _closed_sum_line),
+    "series": (_series_start, _series_step, _series_line),
 }
 GENUS_ROUTES = {
-    "compositions": (_compositions_prefix, _compositions_line),
-    "inclusion_exclusion": (_inclusion_exclusion_prefix, _inclusion_exclusion_line),
-    "series_coeff": (_series_coeff_prefix, _series_coeff_line),
+    "compositions": (_compositions_start, _compositions_step, _compositions_line),
+    "inclusion_exclusion": (
+        _inclusion_exclusion_start, _inclusion_exclusion_step, _inclusion_exclusion_line
+    ),
+    "series_coeff": (_series_coeff_start, _series_coeff_step, _series_coeff_line),
 }
 MILNOR_METHODS = tuple(MILNOR_ROUTES)
 GENUS_METHODS = tuple(GENUS_ROUTES)
@@ -261,14 +303,17 @@ VERIFY_PG_METHODS = ("compositions", "inclusion_exclusion")
 
 
 def _folded(routes, method: str, spec: DegreeSpec, label: str) -> int:
-    """spec's value by one route: the prefix on all degrees but the last, the line on the last."""
+    """spec's value by one route: a step per degree but the last, then the line on the last."""
     try:
-        prefix, line = routes[method]
+        start, step, line = routes[method]
     except (KeyError, TypeError):  # not a route name, or not even hashable
         choices = tuple(routes)
         raise ValueError(f"unknown {label} method {method!r}; choose from {choices}") from None
     n, degrees = spec
-    return line(prefix(n, len(degrees), degrees[:-1]), degrees[-1:])[0]
+    state = start(n, len(degrees))
+    for p in degrees[:-1]:
+        state = step(state, p)
+    return line(state, degrees[-1:])[0]
 
 
 def milnor_number(spec: DegreeSpec, method: str = "closed_sum") -> int:
@@ -310,28 +355,47 @@ def agreed_invariants(spec: DegreeSpec, genus_methods=VERIFY_PG_METHODS) -> tupl
     return mu, agreed_value(spec, genus_methods, geometric_genus, "genus")
 
 
-def agreed_line(n: int, r: int, leading: tuple[int, ...], last_degrees) -> list:
-    """[mu values, p_g values] of the specs leading + (p,), p in last_degrees,
-    on the routes agreed_invariants() takes.
+def agreed_lines(n: int, r: int, lines: Iterable[tuple]) -> Iterator[tuple]:
+    """(leading, last_degrees, mu values, p_g values) for each (leading,
+    last_degrees) piece of lines, on the routes agreed_invariants() takes.
 
-    Each route's values are compared as whole lists; at the first spec where
-    they differ, this raises as agreed_value() does.
+    The pieces come in grid order, so neighbours share their first leading
+    degrees.  Each route keeps a stack of states, one for each leading
+    degree of the piece before, and a piece steps only the degrees it does
+    not share with that one: each route starts once, and steps each prefix
+    of the grid once.  Each route's values are compared as whole lists; at
+    the first spec where they differ, this raises as agreed_value() does.
     """
-    agreed = []
-    for label, routes, methods in (
-        ("milnor", MILNOR_ROUTES, MILNOR_METHODS), ("genus", GENUS_ROUTES, VERIFY_PG_METHODS)
-    ):
-        values = []
-        for method in methods:
-            prefix, line = routes[method]
-            values.append(line(prefix(n, r, leading), last_degrees))
-        if values.count(values[0]) != len(values):
-            for p, column in zip(last_degrees, zip(*values)):
-                if column.count(column[0]) != len(column):
-                    spec = DegreeSpec(n, leading + (p,))
-                    raise disagreement(label, spec, dict(zip(methods, column)))
-        agreed.append(values[0])
-    return agreed
+    # read at each call, not at import, so that a patched route is the one run
+    routes = [MILNOR_ROUTES[m] for m in MILNOR_METHODS]
+    routes += [GENUS_ROUTES[m] for m in VERIFY_PG_METHODS]
+    split = len(MILNOR_METHODS)
+    stack = [[start(n, r) for start, _, _ in routes]]
+    walked = ()
+    for leading, last_degrees in lines:
+        shared = 0
+        for p, q in zip(walked, leading):
+            if p != q:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        for p in leading[shared:]:
+            stack.append([step(state, p) for (_, step, _), state in zip(routes, stack[-1])])
+        walked = leading
+        values = [line(state, last_degrees) for (_, _, line), state in zip(routes, stack[-1])]
+        mus = _agreed_on_line("milnor", MILNOR_METHODS, values[:split], n, leading, last_degrees)
+        pgs = _agreed_on_line("genus", VERIFY_PG_METHODS, values[split:], n, leading, last_degrees)
+        yield leading, last_degrees, mus, pgs
+
+
+def _agreed_on_line(label: str, methods, values: list, n: int, leading, last_degrees) -> list:
+    """The values every route in methods gives along a line, or the disagreement at its first spec."""
+    if values.count(values[0]) != len(values):
+        for p, column in zip(last_degrees, zip(*values)):
+            if column.count(column[0]) != len(column):
+                spec = DegreeSpec(n, leading + (p,))
+                raise disagreement(label, spec, dict(zip(methods, column)))
+    return values[0]
 
 
 def disagreement(label: str, spec: DegreeSpec, values: dict[str, int]) -> CrossCheckError:

@@ -48,9 +48,9 @@ REGISTRY_ROUTES = [("milnor", route) for route in MILNOR_ROUTES] + [
 def off_by_one(monkeypatch, label, route):
     """Make one registry route's line step return each value plus one."""
     routes = MILNOR_ROUTES if label == "milnor" else GENUS_ROUTES
-    prefix, line = routes[route]
+    start, step, line = routes[route]
     monkeypatch.setitem(
-        routes, route, (prefix, lambda state, degrees: [v + 1 for v in line(state, degrees)])
+        routes, route, (start, step, lambda state, degrees: [v + 1 for v in line(state, degrees)])
     )
 
 
@@ -840,8 +840,9 @@ class TestImportCost:
         its output discarded."""
         src = str(Path(durfee.__file__).resolve().parents[1])
         code = (
-            "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import durfee.cli\n"
+            "import sys; sys.path.insert(0, sys.argv[1]); import durfee.cli\n"
             "if sys.argv[2:]:\n"
+            "    import contextlib, io\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        assert durfee.cli.main(sys.argv[2:]) == 0\n"
@@ -877,6 +878,11 @@ class TestImportCost:
         # annotations are strings and the abstract types come from
         # collections.abc; -S keeps out site, which may import typing itself
         assert self.loaded_after_cli_import({"typing"}, flags=("-I", "-S")) == "[]\n"
+
+    def test_cli_import_loads_no_contextlib(self):
+        # unlimited_int_str is a plain class, not a contextlib generator;
+        # -S keeps out site, which imports contextlib itself
+        assert self.loaded_after_cli_import({"contextlib"}, flags=("-I", "-S")) == "[]\n"
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
     def test_search_loads_no_fractions(self, fmt):

@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
@@ -515,25 +516,30 @@ class TestSearch:
 
     @pytest.mark.parametrize("mode", ["full_grid", "equal_degrees"])
     def test_line_walk_visits_each_spec_once_in_grid_order(self, monkeypatch, mode):
-        # every route folds a line's leading degrees once and finishes the
-        # line in one step over its last degrees, and no verdict is built
+        # every route starts once, steps only the leading degrees a line does
+        # not share with the line before, and finishes the line in one step
+        # over its last degrees, and no verdict is built
         import durfee.conjecture as conjecture
         import durfee.invariants as invariants
 
         events = []
 
         def recorded(table, route):
-            prefix, line = table[route]
+            start, step, line = table[route]
 
-            def traced_prefix(n, r, leading):
-                events.append(("prefix", route, leading))
-                return prefix(n, r, leading)
+            def traced_start(n, r):
+                events.append(("start", route))
+                return start(n, r)
+
+            def traced_step(state, p):
+                events.append(("step", route, p))
+                return step(state, p)
 
             def traced_line(state, degrees):
                 events.append(("line", route, tuple(degrees)))
                 return line(state, degrees)
 
-            monkeypatch.setitem(table, route, (traced_prefix, traced_line))
+            monkeypatch.setitem(table, route, (traced_start, traced_step, traced_line))
 
         for route in MILNOR_METHODS:
             recorded(invariants.MILNOR_ROUTES, route)
@@ -553,16 +559,52 @@ class TestSearch:
         for degrees in grid:
             lines.setdefault(degrees[:-1], []).append(degrees[-1])
         routes = MILNOR_METHODS + VERIFY_PG_METHODS
-        expected = [
-            event
-            for leading, last_degrees in lines.items()
-            for route in routes
-            for event in (("prefix", route, leading), ("line", route, tuple(last_degrees)))
-        ]
+        expected = [("start", route) for route in routes]
+        walked = ()
+        for leading, last_degrees in lines.items():
+            shared = 0
+            while shared < len(walked) and walked[shared] == leading[shared]:
+                shared += 1
+            expected += [("step", route, p) for p in leading[shared:] for route in routes]
+            expected += [("line", route, tuple(last_degrees)) for route in routes]
+            walked = leading
         assert events == expected
         assert result.scanned == len(grid)
         monkeypatch.undo()
         assert result == search(2, 3, 2, 5, mode=mode)
+
+    @pytest.mark.parametrize("mode, steps", [("full_grid", 8 + 36 + 120), ("equal_degrees", 8 * 3)])
+    def test_a_search_steps_each_prefix_once(self, monkeypatch, mode, steps):
+        # at r = 4 over 8 degree values the full grid's 120 lines have 8, 36
+        # and 120 distinct prefixes of 1, 2 and 3 leading degrees; the 8
+        # equal-degree lines share none, so each takes r - 1 steps
+        import durfee.invariants as invariants
+
+        starts, stepped = Counter(), Counter()
+
+        def counted(table, route):
+            start, step, line = table[route]
+
+            def counted_start(n, r):
+                starts[route] += 1
+                return start(n, r)
+
+            def counted_step(state, p):
+                stepped[route] += 1
+                return step(state, p)
+
+            monkeypatch.setitem(table, route, (counted_start, counted_step, line))
+
+        for route in MILNOR_METHODS:
+            counted(invariants.MILNOR_ROUTES, route)
+        for route in GENUS_METHODS:
+            counted(invariants.GENUS_ROUTES, route)
+        result = search(2, 4, 2, 9, mode=mode)
+        routes = MILNOR_METHODS + VERIFY_PG_METHODS
+        assert starts == dict.fromkeys(routes, 1)
+        assert stepped == dict.fromkeys(routes, steps)
+        monkeypatch.undo()
+        assert result == search_oracle(2, 4, 2, 9, mode)
 
     @pytest.mark.parametrize("mode", ["full_grid", "equal_degrees"])
     @pytest.mark.parametrize("n, r, p_min, p_max", SEARCH_SHAPES)
@@ -623,9 +665,9 @@ class TestSearch:
         monkeypatch.setattr(invariants, "comb", counted)
         result = search(3, 1, 5, 605, mode="full_grid")
         monkeypatch.undo()
-        # the series route's prefix takes C(N, k), k <= n, once per batch of 256
+        # the series route's start takes C(N, k), k <= n, once per walk
         assert [c for c in calls if c[0] != 4] == [(p, 4) for p in range(5, 606)]
-        assert len(calls) == 601 + 3 * 4
+        assert len(calls) == 601 + 4
         assert result == search_oracle(3, 1, 5, 605, "full_grid")
 
     @pytest.mark.parametrize("n, r, p_max, mode", [
@@ -637,12 +679,14 @@ class TestSearch:
     def test_route_disagreement_names_the_spec_and_both_values(self, monkeypatch):
         import durfee.invariants as invariants
 
-        prefix, line = invariants.GENUS_ROUTES["inclusion_exclusion"]
+        start, step, line = invariants.GENUS_ROUTES["inclusion_exclusion"]
 
         def off_at_4(state, degrees):
             return [value + (p == 4) for value, p in zip(line(state, degrees), degrees)]
 
-        monkeypatch.setitem(invariants.GENUS_ROUTES, "inclusion_exclusion", (prefix, off_at_4))
+        monkeypatch.setitem(
+            invariants.GENUS_ROUTES, "inclusion_exclusion", (start, step, off_at_4)
+        )
         with pytest.raises(CrossCheckError) as info:
             search(2, 2, 2, 5, mode="full_grid")
         assert str(info.value) == (

@@ -452,9 +452,10 @@ class TestInvariantReport:
     def test_disagreement_raises(self, monkeypatch):
         import durfee.invariants as inv
 
-        prefix, _ = inv.GENUS_ROUTES["series_coeff"]
+        start, step, _ = inv.GENUS_ROUTES["series_coeff"]
         monkeypatch.setitem(
-            inv.GENUS_ROUTES, "series_coeff", (prefix, lambda state, degrees: [-1] * len(degrees))
+            inv.GENUS_ROUTES, "series_coeff",
+            (start, step, lambda state, degrees: [-1] * len(degrees)),
         )
         with pytest.raises(CrossCheckError) as info:
             invariant_report(DegreeSpec(2, (3, 3)))
@@ -516,20 +517,40 @@ class TestSplitRoutes:
 
     @pytest.mark.parametrize("n, leading, last_degrees", _line_shapes())
     def test_last_of_prefix_matches_the_brute_oracles(self, n, leading, last_degrees):
-        # one fold of the leading degrees serves every spec of the line, and
+        # one state of the leading degrees serves every spec of the line, and
         # one line step gives the same values as a step per spec
         r = len(leading) + 1
         expected = {}
-        for route, (prefix, line) in {**MILNOR_ROUTES, **GENUS_ROUTES}.items():
+        for route, (start, step, line) in {**MILNOR_ROUTES, **GENUS_ROUTES}.items():
             oracle = self.ORACLES[route]
             if oracle not in expected:
                 expected[oracle] = [oracle(n, leading + (p,)) for p in last_degrees]
-            state = prefix(n, r, leading)
+            state = start(n, r)
+            for p in leading:
+                state = step(state, p)
             assert line(state, last_degrees) == expected[oracle], route
             assert [line(state, (p,))[0] for p in last_degrees] == expected[oracle], route
         for p in last_degrees:
             spec = DegreeSpec(n, leading + (p,))
             assert milnor_fiber_euler(spec) == euler_brute(n, spec.degrees)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_steps_in_any_order_give_the_same_line(self, seed):
+        # a search steps the leading degrees in grid order only; every
+        # route's value is symmetric in them, so a shuffled order must agree
+        rng = random.Random(seed)
+        n, r = rng.randint(1, 5), rng.randint(2, 6)
+        leading = [rng.randint(2, 8) for _ in range(r - 1)]
+        shuffled = rng.sample(leading, len(leading))
+        last_degrees = range(2, 2 + rng.randint(1, 6))
+        for route, (start, step, line) in {**MILNOR_ROUTES, **GENUS_ROUTES}.items():
+            values = []
+            for order in (sorted(leading), shuffled):
+                state = start(n, r)
+                for p in order:
+                    state = step(state, p)
+                values.append(line(state, last_degrees))
+            assert values[0] == values[1], (route, n, leading, shuffled)
 
 
 class TestRouteRegistry:
